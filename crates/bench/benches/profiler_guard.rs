@@ -22,7 +22,7 @@
 //!
 //! Run with `cargo bench -p bump-bench --bench profiler_guard`.
 
-use bump_sim::{config_for, run_experiment_with_config_profiled, Preset, RunOptions};
+use bump_sim::{config_for, run_experiment_with_config_instrumented, Preset, RunOptions};
 use bump_workloads::Workload;
 use std::time::Instant;
 
@@ -55,7 +55,7 @@ fn measure(profile: bool) -> (f64, u64) {
     for _ in 0..ITERS {
         let (cfg, opts) = cell();
         let t0 = Instant::now();
-        let report = run_experiment_with_config_profiled(cfg, opts, profile);
+        let report = run_experiment_with_config_instrumented(cfg, opts, profile, None);
         best = best.min(t0.elapsed().as_secs_f64());
         cycles = report.cycles;
         assert_eq!(

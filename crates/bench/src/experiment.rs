@@ -21,6 +21,7 @@
 //! rendering, and dumped as structured CSV/JSON rows under `results/`.
 
 use crate::Scale;
+use bump_sim::json::Json;
 use bump_sim::{
     config_for_scenario, run_experiment_with_config_instrumented, Preset, RunOptions, Scenario,
     SimReport, SystemConfig,
@@ -107,22 +108,14 @@ impl ExperimentSpec {
 
     /// Executes this cell (synchronously).
     pub fn run(&self) -> SimReport {
-        self.run_profiled(false)
+        self.run_instrumented(false, None)
     }
 
-    /// [`ExperimentSpec::run`] with the engine phase profiler on or
-    /// off. Profiling does not change the simulated results or the
-    /// cell's journal identity; with `profile` set, the report carries
-    /// `phase: Some(...)`.
-    pub fn run_profiled(&self, profile: bool) -> SimReport {
-        self.run_instrumented(profile, None)
-    }
-
-    /// [`ExperimentSpec::run_profiled`] with the sim-time telemetry
-    /// sampler on at the given stride (`Some(0)` selects the default).
-    /// Like profiling, telemetry changes neither the simulated results
-    /// nor the cell's journal identity; with it on, the report carries
-    /// `telemetry: Some(...)`.
+    /// [`ExperimentSpec::run`] with the engine phase profiler
+    /// (`profile`) and the sim-time telemetry sampler (`telemetry`, a
+    /// stride; `Some(0)` selects the default). Neither changes the
+    /// simulated results or the cell's journal identity; with them on,
+    /// the report carries `phase: Some(...)` / `telemetry: Some(...)`.
     pub fn run_instrumented(&self, profile: bool, telemetry: Option<u64>) -> SimReport {
         let cfg = match &self.config {
             Some(cfg) => cfg.clone(),
@@ -368,31 +361,17 @@ pub fn run_grid_with<F>(grid: &ExperimentGrid, threads: usize, on_cell: F) -> Gr
 where
     F: Fn(usize, &ExperimentSpec, &SimReport) + Send + Sync + 'static,
 {
-    run_grid_profiled_with(grid, threads, false, on_cell)
+    run_grid_instrumented_with(grid, threads, false, None, on_cell)
 }
 
-/// [`run_grid_with`] with the engine phase profiler on or off. With
-/// `profile` set, every report carries `phase: Some(...)` (read it in
-/// `on_cell` or from the returned rows); simulated results — and thus
-/// every figure, golden CSV, and journal identity — are unchanged.
-pub fn run_grid_profiled_with<F>(
-    grid: &ExperimentGrid,
-    threads: usize,
-    profile: bool,
-    on_cell: F,
-) -> GridResults
-where
-    F: Fn(usize, &ExperimentSpec, &SimReport) + Send + Sync + 'static,
-{
-    run_grid_instrumented_with(grid, threads, profile, None, on_cell)
-}
-
-/// [`run_grid_profiled_with`] with the sim-time telemetry switch: with
-/// `telemetry = Some(stride)` every cell's report carries its gauge
-/// series (write them with [`GridResults::write_telemetry_files`]).
-/// Series are keyed on simulated cycles and cells carry spec-fixed
-/// seeds, so like every other grid output they are byte-identical for
-/// any thread count.
+/// [`run_grid_with`] with the two instrument switches. With `profile`
+/// set, every report carries `phase: Some(...)` (read it in `on_cell`
+/// or from the returned rows); with `telemetry = Some(stride)` every
+/// cell's report carries its gauge series (write them with
+/// [`GridResults::write_telemetry_files`]). Simulated results — and
+/// thus every figure, golden CSV, and journal identity — are
+/// unchanged, and series are keyed on simulated cycles, so like every
+/// other grid output they are byte-identical for any thread count.
 pub fn run_grid_instrumented_with<F>(
     grid: &ExperimentGrid,
     threads: usize,
@@ -522,21 +501,9 @@ impl GridResults {
         out
     }
 
-    /// Renders all cells as a JSON array of objects.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("[\n");
-        let rows = self.metric_rows();
-        for (i, row) in rows.iter().enumerate() {
-            out.push_str("  ");
-            out.push_str(&row.to_json());
-            if i + 1 < rows.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push(']');
-        out.push('\n');
-        out
+    /// All cells as a JSON array of [`MetricRow::to_json`] objects.
+    pub fn to_json(&self) -> Json {
+        Json::Arr(self.metric_rows().iter().map(MetricRow::to_json).collect())
     }
 
     /// Writes `results/<name>.csv` and `results/<name>.json`.
@@ -550,15 +517,11 @@ impl GridResults {
     /// Errors are reported to stderr but not fatal, matching the text
     /// emitters: a read-only checkout still prints results to stdout.
     pub fn write_files(&self, name: &str) {
-        let dir = Path::new("results");
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("warning: cannot create results/: {e}");
+        let Some(dir) = results_dir() else {
             return;
-        }
-        for (ext, content) in [("csv", self.to_csv()), ("json", self.to_json())] {
-            let path = dir.join(format!("{name}.{ext}"));
-            write_atomically(&path, &content);
-        }
+        };
+        write_atomically(&dir.join(format!("{name}.csv")), &self.to_csv());
+        write_json(&dir.join(format!("{name}.json")), &self.to_json());
     }
 
     /// Writes `results/telemetry_<name>.csv` / `.json` from the cells
@@ -576,18 +539,32 @@ impl GridResults {
         if cells.is_empty() {
             return;
         }
-        let dir = Path::new("results");
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("warning: cannot create results/: {e}");
+        let Some(dir) = results_dir() else {
             return;
-        }
-        for (ext, content) in [
-            ("csv", bump_sim::cells_to_csv(&cells)),
-            ("json", bump_sim::cells_to_json(&cells)),
-        ] {
-            write_atomically(&dir.join(format!("telemetry_{name}.{ext}")), &content);
+        };
+        let path = |ext: &str| dir.join(format!("telemetry_{name}.{ext}"));
+        write_atomically(&path("csv"), &bump_sim::cells_to_csv(&cells));
+        write_json(&path("json"), &bump_sim::cells_to_json(&cells));
+    }
+}
+
+/// The `results/` directory, created if missing; `None` (after a
+/// warning) when it cannot be.
+pub(crate) fn results_dir() -> Option<&'static Path> {
+    let dir = Path::new("results");
+    match std::fs::create_dir_all(dir) {
+        Ok(()) => Some(dir),
+        Err(e) => {
+            eprintln!("warning: cannot create results/: {e}");
+            None
         }
     }
+}
+
+/// Writes `doc`'s compact rendering plus a trailing newline to `path`
+/// (tempfile + rename, like every results file).
+pub(crate) fn write_json(path: &Path, doc: &Json) {
+    write_atomically(path, &format!("{doc}\n"));
 }
 
 /// Writes `content` to `path` via a same-directory tempfile + rename.
@@ -761,38 +738,31 @@ impl MetricRow {
         )
     }
 
-    /// One JSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{");
-        let _ = write!(
-            s,
-            "\"label\":{:?},\"preset\":{:?},\"workload\":{:?},\"cores\":{},\"seed\":{},\
-             \"cycles\":{},\"instructions\":{},\"ipc\":{:.6},\"row_hit\":{:.6},\
-             \"ideal_row_hit\":{:.6},\"energy_per_access_nj\":{:.6},\"server_energy_j\":{:.6},\
-             \"dram_accesses\":{},\"write_fraction\":{:.6},\"predicted_read_fraction\":{:.6},\
-             \"read_overfetch_fraction\":{:.6},\"predicted_write_fraction\":{:.6},\
-             \"extra_writeback_fraction\":{:.6}",
-            self.label,
-            self.preset,
-            self.workload,
-            self.cores,
-            self.seed,
-            self.cycles,
-            self.instructions,
-            self.ipc,
-            self.row_hit,
-            self.ideal_row_hit,
-            self.energy_per_access_nj,
-            self.server_energy_j,
-            self.dram_accesses,
-            self.write_fraction,
-            self.predicted_read_fraction,
-            self.read_overfetch_fraction,
-            self.predicted_write_fraction,
-            self.extra_writeback_fraction,
-        );
-        s.push('}');
-        s
+    /// The row as a JSON object, fields in CSV column order. Floats
+    /// are rounded to the CSV's 6 decimals ([`Json::fixed`]), so the
+    /// object carries exactly the values the CSV row states.
+    pub fn to_json(&self) -> Json {
+        let f = |x: f64| Json::fixed(x, 6);
+        Json::obj(vec![
+            ("label", Json::from(self.label.as_str())),
+            ("preset", Json::from(self.preset)),
+            ("workload", Json::from(self.workload)),
+            ("cores", Json::from(self.cores)),
+            ("seed", Json::from(self.seed)),
+            ("cycles", Json::from(self.cycles)),
+            ("instructions", Json::from(self.instructions)),
+            ("ipc", f(self.ipc)),
+            ("row_hit", f(self.row_hit)),
+            ("ideal_row_hit", f(self.ideal_row_hit)),
+            ("energy_per_access_nj", f(self.energy_per_access_nj)),
+            ("server_energy_j", f(self.server_energy_j)),
+            ("dram_accesses", Json::from(self.dram_accesses)),
+            ("write_fraction", f(self.write_fraction)),
+            ("predicted_read_fraction", f(self.predicted_read_fraction)),
+            ("read_overfetch_fraction", f(self.read_overfetch_fraction)),
+            ("predicted_write_fraction", f(self.predicted_write_fraction)),
+            ("extra_writeback_fraction", f(self.extra_writeback_fraction)),
+        ])
     }
 }
 
@@ -937,42 +907,35 @@ impl SeedSummary {
         out
     }
 
-    /// JSON array with per-metric `{"mean":..,"std":..}` objects.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("[\n");
-        for (i, row) in self.rows.iter().enumerate() {
-            let _ = write!(
-                out,
-                "  {{\"label\":{:?},\"preset\":{:?},\"workload\":{:?},\"seeds\":{}",
-                row.label, row.preset, row.workload, row.seeds
-            );
+    /// JSON array with per-metric `{"mean":..,"std":..}` objects,
+    /// rounded to the CSV's 6 decimals.
+    pub fn to_json(&self) -> Json {
+        let row = |row: &SeedRow| {
+            let mut fields = vec![
+                ("label", Json::from(row.label.as_str())),
+                ("preset", Json::from(row.preset)),
+                ("workload", Json::from(row.workload)),
+                ("seeds", Json::from(row.seeds)),
+            ];
             for ((name, _), stat) in SEED_METRICS.iter().zip(&row.stats) {
-                let _ = write!(
-                    out,
-                    ",\"{name}\":{{\"mean\":{:.6},\"std\":{:.6}}}",
-                    stat.mean, stat.std
-                );
+                let stat = Json::obj(vec![
+                    ("mean", Json::fixed(stat.mean, 6)),
+                    ("std", Json::fixed(stat.std, 6)),
+                ]);
+                fields.push((*name, stat));
             }
-            out.push('}');
-            if i + 1 < self.rows.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("]\n");
-        out
+            Json::obj(fields)
+        };
+        Json::Arr(self.rows.iter().map(row).collect())
     }
 
     /// Writes `results/<name>_seeds.csv` / `.json` (tempfile + rename).
     pub fn write_files(&self, name: &str) {
-        let dir = Path::new("results");
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("warning: cannot create results/: {e}");
+        let Some(dir) = results_dir() else {
             return;
-        }
-        for (ext, content) in [("csv", self.to_csv()), ("json", self.to_json())] {
-            write_atomically(&dir.join(format!("{name}_seeds.{ext}")), &content);
-        }
+        };
+        write_atomically(&dir.join(format!("{name}_seeds.csv")), &self.to_csv());
+        write_json(&dir.join(format!("{name}_seeds.json")), &self.to_json());
     }
 }
 
@@ -1304,7 +1267,7 @@ mod tests {
             4 + 2 * SEED_METRICS.len()
         );
         assert_eq!(csv.lines().count(), 2);
-        let json = summary.to_json();
+        let json = summary.to_json().to_string();
         assert!(json.contains("\"ipc\":{\"mean\":"));
     }
 
@@ -1363,8 +1326,13 @@ mod tests {
             row.to_csv().split(',').count(),
             MetricRow::CSV_HEADER.split(',').count()
         );
-        let json = row.to_json();
+        let json = row.to_json().to_string();
         assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"row_hit\":0.500000"));
+        assert!(json.contains("\"row_hit\":0.5,"));
+        let parsed = Json::parse(&json).expect("metric row renders valid JSON");
+        assert_eq!(parsed, row.to_json());
+        assert_eq!(parsed.get("seed").and_then(Json::as_u64), Some(42));
+        assert_eq!(parsed.get("ipc").and_then(Json::as_f64), Some(2.0));
+        assert_eq!(parsed.get("label").and_then(Json::as_str), Some("x/y"));
     }
 }

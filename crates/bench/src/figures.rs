@@ -8,12 +8,13 @@
 //! figures from the shared results.
 
 use crate::experiment::{
-    run_grid_instrumented_with, ExperimentGrid, ExperimentSpec, GridArgs, GridResults,
-    IncrementalCsv, SeedSummary,
+    results_dir, run_grid_instrumented_with, write_json, ExperimentGrid, ExperimentSpec, GridArgs,
+    GridResults, IncrementalCsv, SeedSummary,
 };
 use crate::{emit, paper, pct, Scale, TextTable};
 use bump::BumpConfig;
 use bump_energy::ChipEnergyParams;
+use bump_sim::json::Json;
 use bump_sim::{config_for, Preset, RunOptions, Scenario, SimReport, SystemConfig};
 use bump_types::{Interleaving, MemSpec};
 use bump_workloads::Workload;
@@ -235,67 +236,57 @@ pub fn run_figure(figure: &Figure, args: GridArgs) {
 }
 
 /// Writes `results/profile_<name>.json`: the per-cell and aggregate
-/// engine-phase wall-clock breakdown of a `--profile` run (schema
-/// `engine-phase-profile-v1`; phase catalogue in
-/// `docs/OBSERVABILITY.md`). Hand-rolled JSON like every other results
-/// file.
+/// engine-phase wall-clock breakdown of a `--profile` run
+/// ([`profile_json`]).
 pub fn write_profile(name: &str, results: &GridResults) {
+    if let Some(dir) = results_dir() {
+        let path = dir.join(format!("profile_{name}.json"));
+        write_json(&path, &profile_json(name, results));
+    }
+}
+
+/// The `engine-phase-profile-v1` document (phase catalogue in
+/// `docs/OBSERVABILITY.md`): per-phase nanos and calls summed over the
+/// profiled cells of `results`, then each cell's own breakdown.
+pub fn profile_json(name: &str, results: &GridResults) -> Json {
     use bump_sim::PHASE_NAMES;
-    use std::fmt::Write as _;
     let mut total_nanos = [0u64; PHASE_NAMES.len()];
     let mut total_calls = [0u64; PHASE_NAMES.len()];
-    let mut cells = String::new();
-    let mut first = true;
+    let phase = |nanos: u64, calls: u64| {
+        Json::obj(vec![
+            ("nanos", Json::from(nanos)),
+            ("calls", Json::from(calls)),
+        ])
+    };
+    let mut cells = Vec::new();
     for (spec, report) in results.iter() {
         let Some(profile) = &report.phase else {
             continue;
         };
-        if !first {
-            cells.push_str(",\n");
-        }
-        first = false;
-        let _ = write!(
-            cells,
-            "    {{\"label\":{:?},\"total_nanos\":{},\"phases\":{{",
-            spec.label,
-            profile.total_nanos()
-        );
+        let mut phases = Vec::new();
         for (i, sample) in profile.phases.iter().enumerate() {
             total_nanos[i] += sample.nanos;
             total_calls[i] += sample.calls;
-            let _ = write!(
-                cells,
-                "{}\"{}\":{{\"nanos\":{},\"calls\":{}}}",
-                if i == 0 { "" } else { "," },
-                sample.name,
-                sample.nanos,
-                sample.calls
-            );
+            phases.push((sample.name, phase(sample.nanos, sample.calls)));
         }
-        cells.push_str("}}");
+        cells.push(Json::obj(vec![
+            ("label", Json::from(spec.label.as_str())),
+            ("total_nanos", Json::from(profile.total_nanos())),
+            ("phases", Json::obj(phases)),
+        ]));
     }
-    let mut totals = String::new();
-    for (i, phase) in PHASE_NAMES.iter().enumerate() {
-        let _ = write!(
-            totals,
-            "{}\"{phase}\":{{\"nanos\":{},\"calls\":{}}}",
-            if i == 0 { "" } else { "," },
-            total_nanos[i],
-            total_calls[i]
-        );
-    }
-    let body = format!(
-        "{{\n  \"schema\":\"engine-phase-profile-v1\",\n  \"figure\":{name:?},\n  \
-         \"total_nanos\":{},\n  \"totals\":{{{totals}}},\n  \"cells\":[\n{cells}\n  ]\n}}\n",
-        total_nanos.iter().sum::<u64>()
-    );
-    let path = format!("results/profile_{name}.json");
-    let _ = std::fs::create_dir_all("results");
-    if let Err(e) = std::fs::write(&path, body) {
-        eprintln!("warning: cannot write {path}: {e}");
-    } else {
-        eprintln!("wrote {path}");
-    }
+    let totals = PHASE_NAMES
+        .iter()
+        .enumerate()
+        .map(|(i, &name)| (name, phase(total_nanos[i], total_calls[i])))
+        .collect();
+    Json::obj(vec![
+        ("schema", Json::from("engine-phase-profile-v1")),
+        ("figure", Json::from(name)),
+        ("total_nanos", Json::from(total_nanos.iter().sum::<u64>())),
+        ("totals", Json::obj(totals)),
+        ("cells", Json::Arr(cells)),
+    ])
 }
 
 /// The per-metric mean ± sample-stddev table appended to a figure's

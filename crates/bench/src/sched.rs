@@ -213,27 +213,16 @@ impl Scheduler {
     /// order, `on_cell` fires for each as it lands. Returns immediately
     /// with a handle to wait on.
     pub fn submit(&self, cells: Vec<ExperimentSpec>, on_cell: CellCallback) -> JobHandle {
-        self.submit_profiled(cells, false, on_cell)
+        self.submit_instrumented(cells, false, None, on_cell)
     }
 
-    /// [`Scheduler::submit`] with the engine phase profiler switched on
-    /// for every cell of the job: each report's `phase` is `Some`,
-    /// everything else is byte-identical to an unprofiled run. The flag
-    /// rides the job, not [`bump_sim::RunOptions`], because the
-    /// options' Debug rendering is the serving tier's journal identity.
-    pub fn submit_profiled(
-        &self,
-        cells: Vec<ExperimentSpec>,
-        profile: bool,
-        on_cell: CellCallback,
-    ) -> JobHandle {
-        self.submit_instrumented(cells, profile, None, on_cell)
-    }
-
-    /// [`Scheduler::submit_profiled`] with a sim-time telemetry switch:
-    /// with `telemetry = Some(stride)` every cell's report carries the
-    /// measurement window's gauge series. Out-of-band for the same
-    /// journal-identity reason as `profile`.
+    /// [`Scheduler::submit`] with the instrument switches for every
+    /// cell of the job: with `profile` each report's `phase` is `Some`,
+    /// with `telemetry = Some(stride)` each carries the measurement
+    /// window's gauge series; everything else is byte-identical to a
+    /// plain run. The flags ride the job, not [`bump_sim::RunOptions`],
+    /// because the options' Debug rendering is the serving tier's
+    /// journal identity.
     pub fn submit_instrumented(
         &self,
         cells: Vec<ExperimentSpec>,

@@ -215,7 +215,7 @@ fn main() {
         } else {
             let _ = std::fs::create_dir_all("results");
             let csv = bump_sim::cells_to_csv(&cells);
-            let json = bump_sim::cells_to_json(&cells);
+            let json = format!("{}\n", bump_sim::cells_to_json(&cells));
             match std::fs::write("results/telemetry_bumpc.csv", csv)
                 .and_then(|()| std::fs::write("results/telemetry_bumpc.json", json))
             {

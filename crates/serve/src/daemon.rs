@@ -22,7 +22,6 @@
 
 use crate::eventloop::{self, lock_recover, ConnSender, ServeConfig, Service};
 use crate::journal::{cell_identity, cell_key, Journal, JournalEntry};
-use crate::json::Json;
 use crate::metrics::{Histogram, MetricsBuf};
 use crate::proto::{CellResult, Frame, SubmitBatch};
 use crate::telemetry::TelemetryStore;
@@ -220,8 +219,7 @@ impl Daemon {
                     let exec_end = now_us();
                     let row = MetricRow::of(spec, report);
                     let csv = row.to_csv();
-                    let row_json =
-                        Json::parse(&row.to_json()).expect("MetricRow::to_json is valid JSON");
+                    let row_json = row.to_json();
                     daemon.cells_executed.fetch_add(1, Ordering::Relaxed);
                     let append_start = now_us();
                     lock_recover(&daemon.journal).record(

@@ -12,12 +12,13 @@
 //!
 //! The offline build rule (no crates.io — see `shims/README.md`) means
 //! everything here is dependency-free `std`: the JSON value, parser,
-//! and serializer are hand-rolled in [`json`], and the transport is
-//! `std::net` TCP.
+//! and serializer are the simulator crate's one codec, re-exported as
+//! [`json`], and the transport is `std::net` TCP.
 //!
 //! Layout:
 //!
-//! * [`json`] — JSON value + strict parser + deterministic serializer.
+//! * [`json`] — JSON value + strict parser + deterministic serializer
+//!   (`bump_sim::json`, re-exported).
 //! * [`proto`] — the frame types and their encode/parse.
 //! * [`journal`] — the append-only on-disk resume journal.
 //! * [`eventloop`] — the shared readiness-polling serving core
@@ -46,7 +47,7 @@ pub mod cluster;
 pub mod daemon;
 pub mod eventloop;
 pub mod journal;
-pub mod json;
+pub use bump_sim::json;
 pub mod metrics;
 pub mod proto;
 pub mod slog;

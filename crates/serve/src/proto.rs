@@ -16,10 +16,12 @@
 //! and malformed JSON are all [`Err`] — covered by the proptest
 //! round-trip suite in `tests/proto_roundtrip.rs`.
 
-use crate::json::Json;
+use crate::json::{field_bool, field_str, field_u64, reject_unknown_keys, Json};
 use crate::trace::{Span, TraceContext};
 use bump_bench::experiment::ExperimentGrid;
-use bump_sim::{Engine, Preset, RunOptions, Scenario, TelemetryPoint, TelemetrySeries};
+use bump_sim::{
+    series_from_json, series_to_json, Engine, Preset, RunOptions, Scenario, TelemetrySeries,
+};
 use bump_workloads::Workload;
 
 /// An experiment submission: the cartesian grid `presets × workloads`
@@ -335,7 +337,7 @@ impl Frame {
                 ("type", Json::from("cell_telemetry")),
                 ("job", Json::from(*job)),
                 ("index", Json::from(*index)),
-                ("series", series_to_wire(series)),
+                ("series", series_to_json(series)),
             ]),
             Frame::Error { message } => Json::obj(vec![
                 ("type", Json::from("error")),
@@ -500,7 +502,7 @@ impl Frame {
             }
             "cell_telemetry" => {
                 reject_unknown_keys(&value, &["type", "job", "index", "series"])?;
-                let series = series_from_wire(
+                let series = series_from_json(
                     value
                         .get("series")
                         .ok_or("missing object field \"series\"")?,
@@ -544,44 +546,6 @@ impl Frame {
             other => Err(format!("unknown frame type {other:?}")),
         }
     }
-}
-
-/// Rejects any top-level key of `value` (an object — guaranteed by the
-/// successful `"type"` lookup) not in `allowed`.
-fn reject_unknown_keys(value: &Json, allowed: &[&str]) -> Result<(), String> {
-    if let Json::Obj(fields) = value {
-        for (key, _) in fields {
-            if !allowed.contains(&key.as_str()) {
-                return Err(format!("unknown field {key:?}"));
-            }
-        }
-    }
-    Ok(())
-}
-
-fn field_u64(value: &Json, key: &str) -> Result<u64, String> {
-    value
-        .get(key)
-        .ok_or_else(|| format!("missing field {key:?}"))?
-        .as_u64()
-        .ok_or_else(|| format!("field {key:?} is not a non-negative integer"))
-}
-
-fn field_bool(value: &Json, key: &str) -> Result<bool, String> {
-    value
-        .get(key)
-        .ok_or_else(|| format!("missing field {key:?}"))?
-        .as_bool()
-        .ok_or_else(|| format!("field {key:?} is not a bool"))
-}
-
-fn field_str(value: &Json, key: &str) -> Result<String, String> {
-    Ok(value
-        .get(key)
-        .ok_or_else(|| format!("missing field {key:?}"))?
-        .as_str()
-        .ok_or_else(|| format!("field {key:?} is not a string"))?
-        .to_string())
 }
 
 /// The encoded fields of one submission, shared by the flat `submit`
@@ -650,106 +614,6 @@ fn options_from_json(value: &Json) -> Result<RunOptions, String> {
         small_llc: field_bool(value, "small_llc")?,
         engine,
     })
-}
-
-/// Renders a telemetry series as its wire JSON value. The field order
-/// mirrors `bump_sim::series_to_json` exactly, so the `"series"` value
-/// on a `cell_telemetry` frame is byte-for-byte the artifact rendering
-/// (asserted in the tests) — a routed client can splice received
-/// series into `telemetry_*.json` files identical to a local run's.
-fn series_to_wire(series: &TelemetrySeries) -> Json {
-    let point_to_wire = |p: &TelemetryPoint| {
-        let nums = |xs: &[u64]| Json::Arr(xs.iter().map(|&x| Json::from(x)).collect());
-        Json::obj(vec![
-            ("cycle", Json::from(p.cycle)),
-            ("dram_columns", nums(&p.dram_columns)),
-            ("dram_row_hits", nums(&p.dram_row_hits)),
-            ("mshr", Json::from(p.mshr_occupancy)),
-            ("noc_depth", Json::from(p.noc_queue_depth)),
-            ("prefetch_issued", Json::from(p.prefetch_issued)),
-            ("prefetch_useful", Json::from(p.prefetch_useful)),
-            ("storm_parked", Json::from(p.storm_parked)),
-            ("load_stall_cycles", Json::from(p.load_stall_cycles)),
-        ])
-    };
-    Json::obj(vec![
-        ("schema", Json::from(bump_sim::TELEMETRY_SCHEMA)),
-        ("stride", Json::from(series.stride)),
-        ("channels", Json::from(u64::from(series.channels))),
-        ("cores", Json::from(u64::from(series.cores))),
-        (
-            "points",
-            Json::Arr(series.points.iter().map(point_to_wire).collect()),
-        ),
-    ])
-}
-
-/// Parses the `"series"` value of a `cell_telemetry` frame, strictly:
-/// unknown keys (at the series and point level), a wrong schema tag,
-/// and torn series (`TelemetrySeries::validate`) are all errors.
-fn series_from_wire(value: &Json) -> Result<TelemetrySeries, String> {
-    reject_unknown_keys(value, &["schema", "stride", "channels", "cores", "points"])?;
-    let schema = field_str(value, "schema")?;
-    if schema != bump_sim::TELEMETRY_SCHEMA {
-        return Err(format!("unsupported telemetry schema {schema:?}"));
-    }
-    let field_u32 = |key: &str| -> Result<u32, String> {
-        u32::try_from(field_u64(value, key)?).map_err(|_| format!("field {key:?} out of range"))
-    };
-    let points = value
-        .get("points")
-        .and_then(Json::as_arr)
-        .ok_or("missing array field \"points\"")?
-        .iter()
-        .map(|p| {
-            reject_unknown_keys(
-                p,
-                &[
-                    "cycle",
-                    "dram_columns",
-                    "dram_row_hits",
-                    "mshr",
-                    "noc_depth",
-                    "prefetch_issued",
-                    "prefetch_useful",
-                    "storm_parked",
-                    "load_stall_cycles",
-                ],
-            )?;
-            let nums = |key: &str| -> Result<Vec<u64>, String> {
-                p.get(key)
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| format!("missing array field {key:?}"))?
-                    .iter()
-                    .map(|v| {
-                        v.as_u64()
-                            .ok_or_else(|| format!("field {key:?} holds a non-integer"))
-                    })
-                    .collect()
-            };
-            Ok(TelemetryPoint {
-                cycle: field_u64(p, "cycle")?,
-                dram_columns: nums("dram_columns")?,
-                dram_row_hits: nums("dram_row_hits")?,
-                mshr_occupancy: field_u64(p, "mshr")?,
-                noc_queue_depth: field_u64(p, "noc_depth")?,
-                prefetch_issued: field_u64(p, "prefetch_issued")?,
-                prefetch_useful: field_u64(p, "prefetch_useful")?,
-                storm_parked: field_u64(p, "storm_parked")?,
-                load_stall_cycles: field_u64(p, "load_stall_cycles")?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let series = TelemetrySeries {
-        stride: field_u64(value, "stride")?,
-        channels: field_u32("channels")?,
-        cores: field_u32("cores")?,
-        points,
-    };
-    series
-        .validate()
-        .map_err(|e| format!("torn telemetry series: {e}"))?;
-    Ok(series)
 }
 
 fn parse_submit(value: &Json) -> Result<SubmitSpec, String> {

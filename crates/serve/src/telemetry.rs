@@ -77,7 +77,7 @@ impl TelemetryStore {
             .iter()
             .map(|(index, label, series)| (*index as usize, label.as_str(), series))
             .collect();
-        Some(bump_sim::cells_to_json(&refs))
+        Some(format!("{}\n", bump_sim::cells_to_json(&refs)))
     }
 
     /// Job count currently retained (tests and metrics).

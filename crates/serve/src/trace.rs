@@ -27,7 +27,7 @@
 //! timestamps are UNIX-epoch microseconds so spans from different
 //! processes on one machine line up without clock negotiation.
 
-use crate::json::Json;
+use crate::json::{field_str, field_u64, reject_unknown_keys, Json};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -236,34 +236,19 @@ impl Span {
     /// Parses the JSON object form. Strict like the rest of the
     /// protocol: unknown keys are an error.
     pub fn from_json(value: &Json) -> Result<Span, String> {
-        if let Json::Obj(fields) = value {
-            for (key, _) in fields {
-                if ![
-                    "trace", "id", "parent", "name", "service", "start_us", "end_us", "attrs",
-                ]
-                .contains(&key.as_str())
-                {
-                    return Err(format!("unknown span field {key:?}"));
-                }
-            }
-        } else {
+        if !matches!(value, Json::Obj(_)) {
             return Err("span must be an object".to_string());
         }
-        let get_str = |key: &str| -> Result<&str, String> {
-            value
-                .get(key)
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("span field {key:?} missing or not a string"))
-        };
-        let get_u64 = |key: &str| -> Result<u64, String> {
-            value
-                .get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("span field {key:?} missing or not an integer"))
-        };
-        let trace =
-            TraceId::from_hex(get_str("trace")?).ok_or("span trace id must be 32 hex digits")?;
-        let id = SpanId::from_hex(get_str("id")?).ok_or("span id must be 16 hex digits")?;
+        reject_unknown_keys(
+            value,
+            &[
+                "trace", "id", "parent", "name", "service", "start_us", "end_us", "attrs",
+            ],
+        )?;
+        let trace = TraceId::from_hex(&field_str(value, "trace")?)
+            .ok_or("span trace id must be 32 hex digits")?;
+        let id =
+            SpanId::from_hex(&field_str(value, "id")?).ok_or("span id must be 16 hex digits")?;
         let parent = match value.get("parent") {
             None => None,
             Some(v) => Some(
@@ -288,10 +273,10 @@ impl Span {
             trace,
             id,
             parent,
-            name: get_str("name")?.to_string(),
-            service: get_str("service")?.to_string(),
-            start_us: get_u64("start_us")?,
-            end_us: get_u64("end_us")?,
+            name: field_str(value, "name")?,
+            service: field_str(value, "service")?,
+            start_us: field_u64(value, "start_us")?,
+            end_us: field_u64(value, "end_us")?,
             attrs,
         })
     }

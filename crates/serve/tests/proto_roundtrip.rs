@@ -417,7 +417,7 @@ proptest! {
         index in any::<u64>(),
         series in arb_series(),
     ) {
-        let rendered = bump_sim::series_to_json(&series);
+        let rendered = bump_sim::series_to_json(&series).to_string();
         let frame = Frame::CellTelemetry { job, index, series };
         let line = frame.encode();
         prop_assert!(!line.contains('\n'), "frame must be one line: {line}");

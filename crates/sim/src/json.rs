@@ -1,9 +1,11 @@
-//! A dependency-free JSON value, serializer, and parser.
+//! The workspace's one JSON codec: a dependency-free value, strict
+//! parser, and deterministic serializer.
 //!
-//! The offline rule (no crates.io; see `shims/README.md`) means the
-//! wire protocol cannot pull in `serde_json`, so this module hand-rolls
-//! the subset of JSON the protocol needs — which is all of it, minus
-//! any serde-style derive machinery. Design points:
+//! The offline rule (no crates.io; see `shims/README.md`) leaves no
+//! `serde_json`, so this module hand-rolls JSON once, and every JSON
+//! document the workspace writes — wire frames, journal lines, the
+//! `results/*.json` artifacts, telemetry series, phase profiles — is a
+//! [`Json`] value rendered here. Design points:
 //!
 //! * **Objects preserve insertion order** (a `Vec` of pairs, not a
 //!   map), so serialization is deterministic and frames are stable
@@ -16,7 +18,9 @@
 //!   `F64` otherwise — rather than forcing everything through `f64`.
 //! * **Strict parsing**: trailing garbage, unterminated strings, bare
 //!   control characters, and malformed escapes are errors with a byte
-//!   offset, which is what the malformed-frame protocol tests pin.
+//!   offset, which is what the malformed-frame protocol tests pin. The
+//!   [`field_u64`]-style readers and [`reject_unknown_keys`] carry the
+//!   same strictness to schema level.
 
 use std::fmt::Write as _;
 
@@ -57,6 +61,13 @@ impl Json {
                 .map(|(k, v)| (k.to_string(), v))
                 .collect(),
         )
+    }
+
+    /// `x` rounded to `decimals` places: the value a reader gets by
+    /// parsing `x`'s fixed-point `{:.N}` text, so reported metrics keep
+    /// the precision of the CSV columns beside them.
+    pub fn fixed(x: f64, decimals: usize) -> Json {
+        Json::from(format!("{x:.decimals$}").parse::<f64>().unwrap_or(x))
     }
 
     /// Looks up `key` in an object (last occurrence wins). `None` for
@@ -241,6 +252,48 @@ fn write_string(s: &str, out: &mut String) {
         }
     }
     out.push('"');
+}
+
+/// Rejects any key of `value` (when it is an object) not in `allowed`:
+/// a field one side writes and the other silently drops is an error,
+/// not a default.
+pub fn reject_unknown_keys(value: &Json, allowed: &[&str]) -> Result<(), String> {
+    if let Json::Obj(fields) = value {
+        for (key, _) in fields {
+            if !allowed.contains(&key.as_str()) {
+                return Err(format!("unknown field {key:?}"));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The required non-negative integer field `key` of `value`.
+pub fn field_u64(value: &Json, key: &str) -> Result<u64, String> {
+    value
+        .get(key)
+        .ok_or_else(|| format!("missing field {key:?}"))?
+        .as_u64()
+        .ok_or_else(|| format!("field {key:?} is not a non-negative integer"))
+}
+
+/// The required bool field `key` of `value`.
+pub fn field_bool(value: &Json, key: &str) -> Result<bool, String> {
+    value
+        .get(key)
+        .ok_or_else(|| format!("missing field {key:?}"))?
+        .as_bool()
+        .ok_or_else(|| format!("field {key:?} is not a bool"))
+}
+
+/// The required string field `key` of `value`.
+pub fn field_str(value: &Json, key: &str) -> Result<String, String> {
+    Ok(value
+        .get(key)
+        .ok_or_else(|| format!("missing field {key:?}"))?
+        .as_str()
+        .ok_or_else(|| format!("field {key:?} is not a string"))?
+        .to_string())
 }
 
 /// A parse failure: what went wrong and the byte offset where.
@@ -559,6 +612,16 @@ mod tests {
         let v = Json::from(2.0);
         assert_eq!(v.to_string(), "2.0");
         assert_eq!(round_trip(&v), v);
+    }
+
+    #[test]
+    fn fixed_rounds_like_the_fixed_point_text() {
+        assert_eq!(Json::fixed(0.5, 6).to_string(), "0.5");
+        assert_eq!(Json::fixed(1.0 / 3.0, 6).to_string(), "0.333333");
+        assert_eq!(Json::fixed(2.0, 3).to_string(), "2.0");
+        let x = 0.123_456_789;
+        assert_eq!(Json::fixed(x, 6).as_f64(), "0.123457".parse().ok());
+        assert_eq!(Json::fixed(f64::NAN, 6).to_string(), "null");
     }
 
     #[test]

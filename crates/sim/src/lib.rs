@@ -30,6 +30,7 @@
 #![warn(missing_debug_implementations)]
 
 mod config;
+pub mod json;
 mod phase;
 mod profiler;
 mod report;
@@ -44,11 +45,11 @@ pub use profiler::{DensityProfile, DensityProfiler};
 pub use report::{SimReport, TrafficBreakdown};
 pub use runner::{
     config_for, config_for_scenario, run_experiment, run_experiment_with_config,
-    run_experiment_with_config_instrumented, run_experiment_with_config_profiled, RunOptions,
+    run_experiment_with_config_instrumented, RunOptions,
 };
 pub use scenario::Scenario;
 pub use system::System;
 pub use telemetry::{
-    cells_to_csv, cells_to_json, series_to_json, TelemetryPoint, TelemetrySampler, TelemetrySeries,
-    DEFAULT_STRIDE, MAX_POINTS, TELEMETRY_SCHEMA,
+    cells_to_csv, cells_to_json, series_from_json, series_to_json, TelemetryPoint,
+    TelemetrySampler, TelemetrySeries, DEFAULT_STRIDE, MAX_POINTS, TELEMETRY_SCHEMA,
 };

@@ -101,32 +101,21 @@ pub fn run_experiment(preset: Preset, workload: Workload, opts: RunOptions) -> S
 /// engine choice always comes from `opts`, so one CLI flag switches
 /// every cell of a sweep — including custom-config cells.
 pub fn run_experiment_with_config(cfg: SystemConfig, opts: RunOptions) -> SimReport {
-    run_experiment_with_config_profiled(cfg, opts, false)
+    run_experiment_with_config_instrumented(cfg, opts, false, None)
 }
 
-/// [`run_experiment_with_config`] with an engine-phase-profiling
-/// switch. Profiling travels out-of-band rather than in [`RunOptions`]
-/// deliberately: the options' Debug rendering is the serving tier's
-/// journal/cache identity, and a profiled run produces the same
-/// simulated results as an unprofiled one, so the two must share an
-/// identity. With `profile` set, the report's `phase` is `Some` and
-/// covers the measurement window only.
-pub fn run_experiment_with_config_profiled(
-    cfg: SystemConfig,
-    opts: RunOptions,
-    profile: bool,
-) -> SimReport {
-    run_experiment_with_config_instrumented(cfg, opts, profile, None)
-}
-
-/// [`run_experiment_with_config_profiled`] with a sim-time telemetry
-/// switch: `telemetry` is the sampling stride in measured cycles
-/// (`Some(0)` selects [`crate::telemetry::DEFAULT_STRIDE`]). Telemetry
-/// travels out-of-band for the same reason profiling does — an
-/// instrumented run simulates identically to a plain one, so the two
-/// share a journal/cache identity. With it on, the report's `telemetry`
-/// holds the measurement window's gauge series (the sampler resets at
-/// the warmup boundary).
+/// [`run_experiment_with_config`] with the two out-of-band instrument
+/// switches. They travel outside [`RunOptions`] deliberately: the
+/// options' Debug rendering is the serving tier's journal/cache
+/// identity, and an instrumented run simulates identically to a plain
+/// one, so the two must share an identity.
+///
+/// * `profile` turns on the engine phase profiler: the report's
+///   `phase` is `Some` and covers the measurement window only.
+/// * `telemetry` is the sim-time sampling stride in measured cycles
+///   (`Some(0)` selects [`crate::telemetry::DEFAULT_STRIDE`]): the
+///   report's `telemetry` holds the measurement window's gauge series
+///   (the sampler resets at the warmup boundary).
 pub fn run_experiment_with_config_instrumented(
     cfg: SystemConfig,
     opts: RunOptions,

@@ -22,6 +22,7 @@
 //! the integrated core-stall charge, which the system supplies
 //! explicitly (see `System::telemetry_capture`).
 
+use crate::json::{field_str, field_u64, reject_unknown_keys, Json};
 use std::fmt::Write as _;
 
 /// Version tag of the JSON rendering ([`series_to_json`]).
@@ -221,69 +222,118 @@ impl TelemetrySampler {
     }
 }
 
-/// Renders one series as a strict, deterministic `sim-telemetry-v1`
-/// JSON object (single line, insertion-ordered keys, integers only).
-/// This rendering is the wire format's `series` value and the building
-/// block of the `results/telemetry_<name>.json` artifacts, so routed
-/// and local runs produce byte-identical files.
-pub fn series_to_json(s: &TelemetrySeries) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"schema\":\"{TELEMETRY_SCHEMA}\",\"stride\":{},\"channels\":{},\"cores\":{},\"points\":[",
-        s.stride, s.channels, s.cores
-    );
-    for (i, p) in s.points.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{{\"cycle\":{},\"dram_columns\":[", p.cycle);
-        push_u64_list(&mut out, &p.dram_columns);
-        out.push_str("],\"dram_row_hits\":[");
-        push_u64_list(&mut out, &p.dram_row_hits);
-        let _ = write!(
-            out,
-            "],\"mshr\":{},\"noc_depth\":{},\"prefetch_issued\":{},\"prefetch_useful\":{},\
-             \"storm_parked\":{},\"load_stall_cycles\":{}}}",
-            p.mshr_occupancy,
-            p.noc_queue_depth,
-            p.prefetch_issued,
-            p.prefetch_useful,
-            p.storm_parked,
-            p.load_stall_cycles,
-        );
-    }
-    out.push_str("]}");
-    out
+/// The `sim-telemetry-v1` JSON value of one series (insertion-ordered
+/// keys, integers only). It is the wire format's `series` value and
+/// the building block of the `results/telemetry_<name>.json`
+/// artifacts, so routed and local runs produce byte-identical files;
+/// [`series_from_json`] is its strict reader.
+pub fn series_to_json(s: &TelemetrySeries) -> Json {
+    let nums = |xs: &[u64]| Json::Arr(xs.iter().map(|&x| Json::from(x)).collect());
+    let point = |p: &TelemetryPoint| {
+        Json::obj(vec![
+            ("cycle", Json::from(p.cycle)),
+            ("dram_columns", nums(&p.dram_columns)),
+            ("dram_row_hits", nums(&p.dram_row_hits)),
+            ("mshr", Json::from(p.mshr_occupancy)),
+            ("noc_depth", Json::from(p.noc_queue_depth)),
+            ("prefetch_issued", Json::from(p.prefetch_issued)),
+            ("prefetch_useful", Json::from(p.prefetch_useful)),
+            ("storm_parked", Json::from(p.storm_parked)),
+            ("load_stall_cycles", Json::from(p.load_stall_cycles)),
+        ])
+    };
+    Json::obj(vec![
+        ("schema", Json::from(TELEMETRY_SCHEMA)),
+        ("stride", Json::from(s.stride)),
+        ("channels", Json::from(u64::from(s.channels))),
+        ("cores", Json::from(u64::from(s.cores))),
+        ("points", Json::Arr(s.points.iter().map(point).collect())),
+    ])
 }
 
-fn push_u64_list(out: &mut String, xs: &[u64]) {
-    for (i, x) in xs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{x}");
+/// Parses a [`series_to_json`] value, strictly: unknown keys (at the
+/// series and point level), a wrong schema tag, and torn series
+/// ([`TelemetrySeries::validate`]) are all errors.
+pub fn series_from_json(value: &Json) -> Result<TelemetrySeries, String> {
+    reject_unknown_keys(value, &["schema", "stride", "channels", "cores", "points"])?;
+    let schema = field_str(value, "schema")?;
+    if schema != TELEMETRY_SCHEMA {
+        return Err(format!("unsupported telemetry schema {schema:?}"));
     }
+    let field_u32 = |key: &str| -> Result<u32, String> {
+        u32::try_from(field_u64(value, key)?).map_err(|_| format!("field {key:?} out of range"))
+    };
+    let points = value
+        .get("points")
+        .and_then(Json::as_arr)
+        .ok_or("missing array field \"points\"")?
+        .iter()
+        .map(|p| {
+            reject_unknown_keys(
+                p,
+                &[
+                    "cycle",
+                    "dram_columns",
+                    "dram_row_hits",
+                    "mshr",
+                    "noc_depth",
+                    "prefetch_issued",
+                    "prefetch_useful",
+                    "storm_parked",
+                    "load_stall_cycles",
+                ],
+            )?;
+            let nums = |key: &str| -> Result<Vec<u64>, String> {
+                p.get(key)
+                    .and_then(Json::as_arr)
+                    .ok_or_else(|| format!("missing array field {key:?}"))?
+                    .iter()
+                    .map(|v| {
+                        v.as_u64()
+                            .ok_or_else(|| format!("field {key:?} holds a non-integer"))
+                    })
+                    .collect()
+            };
+            Ok(TelemetryPoint {
+                cycle: field_u64(p, "cycle")?,
+                dram_columns: nums("dram_columns")?,
+                dram_row_hits: nums("dram_row_hits")?,
+                mshr_occupancy: field_u64(p, "mshr")?,
+                noc_queue_depth: field_u64(p, "noc_depth")?,
+                prefetch_issued: field_u64(p, "prefetch_issued")?,
+                prefetch_useful: field_u64(p, "prefetch_useful")?,
+                storm_parked: field_u64(p, "storm_parked")?,
+                load_stall_cycles: field_u64(p, "load_stall_cycles")?,
+            })
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    let series = TelemetrySeries {
+        stride: field_u64(value, "stride")?,
+        channels: field_u32("channels")?,
+        cores: field_u32("cores")?,
+        points,
+    };
+    series
+        .validate()
+        .map_err(|e| format!("torn telemetry series: {e}"))?;
+    Ok(series)
 }
 
 /// The JSON document for a set of cells' series: a `sim-telemetry-v1`
 /// envelope with one `{"cell":i,"label":...,"series":{...}}` entry per
 /// cell, cell-index ascending. `cells` must be pre-sorted by index.
-pub fn cells_to_json(cells: &[(usize, &str, &TelemetrySeries)]) -> String {
-    let mut out = String::new();
-    let _ = write!(out, "{{\"schema\":\"{TELEMETRY_SCHEMA}\",\"cells\":[");
-    for (i, (index, label, series)) in cells.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"cell\":{index},\"label\":{label:?},\"series\":{}}}",
-            series_to_json(series)
-        );
-    }
-    out.push_str("]}\n");
-    out
+pub fn cells_to_json(cells: &[(usize, &str, &TelemetrySeries)]) -> Json {
+    let cell = |&(index, label, series): &(usize, &str, &TelemetrySeries)| {
+        Json::obj(vec![
+            ("cell", Json::from(index)),
+            ("label", Json::from(label)),
+            ("series", series_to_json(series)),
+        ])
+    };
+    Json::obj(vec![
+        ("schema", Json::from(TELEMETRY_SCHEMA)),
+        ("cells", Json::Arr(cells.iter().map(cell).collect())),
+    ])
 }
 
 /// CSV header for [`cells_to_csv`] given the channel count: per-window
@@ -435,13 +485,15 @@ mod tests {
     #[test]
     fn json_rendering_is_single_line_and_tagged() {
         let s = series(vec![point(0, 0), point(64, 5)]);
-        let json = series_to_json(&s);
+        let json = series_to_json(&s).to_string();
         assert!(json.starts_with("{\"schema\":\"sim-telemetry-v1\""));
         assert!(!json.contains('\n'));
         assert!(json.contains("\"points\":[{\"cycle\":0,"));
-        let doc = cells_to_json(&[(0, "BuMP/Web Search", &s)]);
+        let parsed = Json::parse(&json).expect("series renders valid JSON");
+        assert_eq!(series_from_json(&parsed), Ok(s.clone()));
+        let doc = cells_to_json(&[(0, "BuMP/Web Search", &s)]).to_string();
         assert!(doc.contains("\"cell\":0,\"label\":\"BuMP/Web Search\""));
-        assert!(doc.ends_with("]}\n"));
+        assert!(doc.ends_with("]}"));
     }
 
     #[test]

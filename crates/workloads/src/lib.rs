@@ -26,7 +26,7 @@
 //!
 //! Per-workload parameters were calibrated so the measured region
 //! density, write share, and row-locality profiles land in the paper's
-//! reported bands (see `EXPERIMENTS.md`).
+//! reported bands (`tests/paper_shape.rs` checks the density bands).
 //!
 //! # Example
 //!

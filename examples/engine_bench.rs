@@ -19,6 +19,7 @@
 //! `ddr4_2400` scenario — so the JSON always covers the retry-storm
 //! worst case and a scenario-axis cell.
 
+use bump_sim::json::Json;
 use bump_sim::{
     config_for_scenario, run_experiment_with_config, Engine, Preset, RunOptions, Scenario,
 };
@@ -147,34 +148,28 @@ fn main() {
     }
 
     if json {
-        // Hand-rolled JSON (the container has no serde): one object per
-        // cell, schema documented in docs/PERFORMANCE.md.
-        println!("{{");
-        println!("  \"schema\": \"engine-bench-v1\",");
-        println!("  \"scale\": \"{scale}\",");
-        println!("  \"cores\": {},", base.cores);
-        println!("  \"cells\": [");
-        for (i, (cell, t)) in rows.iter().enumerate() {
-            let comma = if i + 1 == rows.len() { "" } else { "," };
-            println!(
-                "    {{\"preset\": \"{}\", \"workload\": \"{}\", \"scenario\": \"{}\", \
-                 \"cycle_wall_s\": {:.3}, \"event_wall_s\": {:.3}, \"speedup\": {:.3}, \
-                 \"cycle_cells_per_s\": {:.4}, \"event_cells_per_s\": {:.4}, \
-                 \"cycles\": {}, \"identical\": {}}}{comma}",
-                cell.preset.name(),
-                cell.workload.name(),
-                scenario_label(&cell.scenario),
-                t.cycle_wall_s,
-                t.event_wall_s,
-                t.cycle_wall_s / t.event_wall_s,
-                1.0 / t.cycle_wall_s,
-                1.0 / t.event_wall_s,
-                t.cycles,
-                t.identical,
-            );
-        }
-        println!("  ]");
-        println!("}}");
+        // One object per cell; schema documented in docs/PERFORMANCE.md.
+        let cell = |(cell, t): &(&Cell, Timing)| {
+            Json::obj(vec![
+                ("preset", Json::from(cell.preset.name())),
+                ("workload", Json::from(cell.workload.name())),
+                ("scenario", Json::from(scenario_label(&cell.scenario))),
+                ("cycle_wall_s", Json::fixed(t.cycle_wall_s, 3)),
+                ("event_wall_s", Json::fixed(t.event_wall_s, 3)),
+                ("speedup", Json::fixed(t.cycle_wall_s / t.event_wall_s, 3)),
+                ("cycle_cells_per_s", Json::fixed(1.0 / t.cycle_wall_s, 4)),
+                ("event_cells_per_s", Json::fixed(1.0 / t.event_wall_s, 4)),
+                ("cycles", Json::from(t.cycles)),
+                ("identical", Json::from(t.identical)),
+            ])
+        };
+        let doc = Json::obj(vec![
+            ("schema", Json::from("engine-bench-v1")),
+            ("scale", Json::from(scale)),
+            ("cores", Json::from(base.cores)),
+            ("cells", Json::Arr(rows.iter().map(cell).collect())),
+        ]);
+        println!("{doc}");
     } else {
         for (_, t) in &rows {
             println!(

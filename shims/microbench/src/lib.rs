@@ -351,14 +351,20 @@ fn fmt_rate(throughput: Throughput, ns: f64) -> String {
     }
 }
 
-/// Directory holding baseline JSON files. Defaults to the in-repo
-/// `results/bench_baselines/` (relative to the invocation directory,
-/// i.e. the workspace root under `cargo bench`); override with
-/// `BENCH_BASELINE_DIR` for tests and CI scratch runs.
+/// Directory holding baseline JSON files. Defaults to the workspace's
+/// `results/bench_baselines/`, anchored at this crate's source rather
+/// than the invocation directory (`cargo bench` runs each bench from
+/// its own package directory); override with `BENCH_BASELINE_DIR` for
+/// tests and CI scratch runs.
 fn baseline_dir() -> PathBuf {
     std::env::var_os("BENCH_BASELINE_DIR")
         .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results/bench_baselines"))
+        .unwrap_or_else(|| {
+            PathBuf::from(concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/../../results/bench_baselines"
+            ))
+        })
 }
 
 /// Writes (or merges into) `dir/name.json`: a flat JSON object mapping

@@ -1,7 +1,7 @@
 //! Paper-shape tests: the qualitative results of the paper must hold on
 //! small, fast runs — who wins, in which direction, with sane bands.
-//! (Exact magnitudes are checked by the reproduction binaries at full
-//! scale and recorded in EXPERIMENTS.md.)
+//! (Exact magnitudes come from the reproduction binaries at full scale;
+//! see the paper mapping in README.md.)
 
 use bump_sim::{run_experiment, Engine, Preset, RunOptions, SimReport};
 use bump_workloads::Workload;
