@@ -10,7 +10,7 @@
 //! independent cells run `--threads`-wide (default: all cores).
 
 use bump_bench::experiment::{
-    run_grid_instrumented_with, ExperimentGrid, GridArgs, IncrementalCsv, MetricRow, SeedSummary,
+    run_grid_with, ExperimentGrid, GridArgs, IncrementalCsv, MetricRow, SeedSummary,
 };
 use bump_bench::figures;
 use std::time::Instant;
@@ -22,7 +22,9 @@ fn main() {
     for f in &suite {
         grid.merge((f.grid)(args.scale));
     }
-    let expanded = grid.replicate_seeds(args.seeds);
+    let expanded = grid
+        .replicate_seeds(args.seeds)
+        .instrument(args.instruments);
     println!(
         "repro_all: {} unique cells ({} with x{} seed replication) across {} targets, \
          {} worker threads, {} engine",
@@ -37,17 +39,11 @@ fn main() {
     // Stream rows to results/repro_all.csv as cells land, so an
     // interrupted --full sweep leaves every finished cell on disk.
     let stream = IncrementalCsv::new("repro_all");
-    let all = run_grid_instrumented_with(
-        &expanded,
-        args.threads,
-        args.profile,
-        args.telemetry,
-        move |_, spec, report| {
-            stream.append(&MetricRow::of(spec, report));
-        },
-    );
+    let all = run_grid_with(&expanded, args.threads, move |_, spec, report| {
+        stream.append(&MetricRow::of(spec, report));
+    });
     let simulated = start.elapsed();
-    if args.profile {
+    if args.instruments.profile {
         figures::write_profile("repro_all", &all);
     }
     // Figures render from the replica-0 (calibrated-seed) results;

@@ -23,7 +23,7 @@
 use crate::Scale;
 use bump_sim::json::Json;
 use bump_sim::{
-    config_for_scenario, run_experiment_with_config_instrumented, Preset, RunOptions, Scenario,
+    config_for_scenario, run_experiment_with_config, Instruments, Preset, RunOptions, Scenario,
     SimReport, SystemConfig,
 };
 use bump_workloads::Workload;
@@ -56,6 +56,10 @@ pub struct ExperimentSpec {
     /// still controls the warmup/measure windows and `scenario` is
     /// ignored (the override is already a complete configuration).
     pub config: Option<SystemConfig>,
+    /// Instruments the cell runs with (off by default). They change
+    /// neither the simulated results nor the cell's journal identity;
+    /// with them on, the report carries `phase` / `telemetry`.
+    pub instruments: Instruments,
 }
 
 impl ExperimentSpec {
@@ -68,6 +72,7 @@ impl ExperimentSpec {
             options,
             scenario: Scenario::default(),
             config: None,
+            instruments: Instruments::default(),
         }
     }
 
@@ -87,6 +92,7 @@ impl ExperimentSpec {
             options,
             scenario,
             config: None,
+            instruments: Instruments::default(),
         }
     }
 
@@ -103,25 +109,18 @@ impl ExperimentSpec {
             options,
             scenario: Scenario::default(),
             config: Some(config),
+            instruments: Instruments::default(),
         }
     }
 
-    /// Executes this cell (synchronously).
+    /// Executes this cell (synchronously) with its instruments.
     pub fn run(&self) -> SimReport {
-        self.run_instrumented(false, None)
-    }
-
-    /// [`ExperimentSpec::run`] with the engine phase profiler
-    /// (`profile`) and the sim-time telemetry sampler (`telemetry`, a
-    /// stride; `Some(0)` selects the default). Neither changes the
-    /// simulated results or the cell's journal identity; with them on,
-    /// the report carries `phase: Some(...)` / `telemetry: Some(...)`.
-    pub fn run_instrumented(&self, profile: bool, telemetry: Option<u64>) -> SimReport {
-        let cfg = match &self.config {
+        let mut cfg = match &self.config {
             Some(cfg) => cfg.clone(),
             None => config_for_scenario(self.preset, self.workload, self.options, &self.scenario),
         };
-        run_experiment_with_config_instrumented(cfg, self.options, profile, telemetry)
+        cfg.instruments = self.instruments;
+        run_experiment_with_config(cfg, self.options)
     }
 }
 
@@ -262,6 +261,15 @@ impl ExperimentGrid {
         self
     }
 
+    /// Runs every cell with `instruments` (see
+    /// [`ExperimentSpec::instruments`]).
+    pub fn instrument(mut self, instruments: Instruments) -> Self {
+        for cell in &mut self.cells {
+            cell.instruments = instruments;
+        }
+        self
+    }
+
     /// Expands every cell into `replicas` cells across derived seeds
     /// (the `--seeds N` mode): replica 0 is the cell unchanged, so
     /// single-seed renderings and golden outputs are unaffected;
@@ -357,28 +365,15 @@ pub fn run_grid(grid: &ExperimentGrid, threads: usize) -> GridResults {
 /// thread, in completion order) as each cell's report lands. This is
 /// what drives incremental CSV emission — an interrupted sweep leaves
 /// every finished row on disk (see [`IncrementalCsv`]).
+///
+/// Cells run with their own instruments ([`ExperimentGrid::instrument`]):
+/// with the profiler on every report carries `phase`, with telemetry on
+/// its gauge series (write them with
+/// [`GridResults::write_telemetry_files`]). Simulated results — and thus
+/// every figure, golden CSV, and journal identity — are unchanged, and
+/// series are keyed on simulated cycles, so like every other grid output
+/// they are byte-identical for any thread count.
 pub fn run_grid_with<F>(grid: &ExperimentGrid, threads: usize, on_cell: F) -> GridResults
-where
-    F: Fn(usize, &ExperimentSpec, &SimReport) + Send + Sync + 'static,
-{
-    run_grid_instrumented_with(grid, threads, false, None, on_cell)
-}
-
-/// [`run_grid_with`] with the two instrument switches. With `profile`
-/// set, every report carries `phase: Some(...)` (read it in `on_cell`
-/// or from the returned rows); with `telemetry = Some(stride)` every
-/// cell's report carries its gauge series (write them with
-/// [`GridResults::write_telemetry_files`]). Simulated results — and
-/// thus every figure, golden CSV, and journal identity — are
-/// unchanged, and series are keyed on simulated cycles, so like every
-/// other grid output they are byte-identical for any thread count.
-pub fn run_grid_instrumented_with<F>(
-    grid: &ExperimentGrid,
-    threads: usize,
-    profile: bool,
-    telemetry: Option<u64>,
-    on_cell: F,
-) -> GridResults
 where
     F: Fn(usize, &ExperimentSpec, &SimReport) + Send + Sync + 'static,
 {
@@ -390,10 +385,8 @@ where
     let sched = crate::sched::Scheduler::new(threads);
     let slots: Arc<Vec<Mutex<Option<SimReport>>>> =
         Arc::new(cells.iter().map(|_| Mutex::new(None)).collect());
-    let handle = sched.submit_instrumented(
+    let handle = sched.submit(
         cells.to_vec(),
-        profile,
-        telemetry,
         Box::new({
             let slots = Arc::clone(&slots);
             move |i, spec, report, _timing| {
@@ -941,7 +934,8 @@ impl SeedSummary {
 
 /// Command-line context shared by every figure binary: scale
 /// (`--quick`/`--full`), worker count (`--threads N`), seed replication
-/// (`--seeds N`), and simulation engine (`--engine {cycle,event}`).
+/// (`--seeds N`), simulation engine (`--engine {cycle,event}`), and
+/// instruments (`--profile`, `--telemetry[=N]`).
 #[derive(Clone, Copy, Debug)]
 pub struct GridArgs {
     /// Run scale.
@@ -952,14 +946,12 @@ pub struct GridArgs {
     pub seeds: usize,
     /// Simulation engine every cell runs under.
     pub engine: bump_sim::Engine,
-    /// Run cells with the engine phase profiler on and write the
-    /// per-phase wall-clock breakdown as `results/profile_<name>.json`.
-    pub profile: bool,
-    /// Run cells with the sim-time telemetry sampler on at this stride
-    /// (`--telemetry` = default stride, `--telemetry=N` = every N
-    /// cycles) and write the gauge series as
+    /// Instruments every cell runs with. `--profile` writes the
+    /// per-phase wall-clock breakdown as `results/profile_<name>.json`;
+    /// `--telemetry` (default stride) or `--telemetry=N` (every N
+    /// cycles) writes the gauge series as
     /// `results/telemetry_<name>.{csv,json}`.
-    pub telemetry: Option<u64>,
+    pub instruments: Instruments,
 }
 
 impl GridArgs {
@@ -1011,21 +1003,23 @@ impl GridArgs {
             threads,
             seeds,
             engine,
-            profile: args.iter().any(|a| a == "--profile"),
-            telemetry,
+            instruments: Instruments {
+                profile: args.iter().any(|a| a == "--profile"),
+                telemetry,
+            },
         }
     }
 }
 
-/// Parses `--telemetry` / `--telemetry=N` out of `args`. `Ok` values:
-/// `None` (flag absent), `Some(0)` (bare flag — default stride),
-/// `Some(n)` (explicit stride). A malformed or zero stride is `None`
-/// at the outer level (parse error).
-fn parse_telemetry_flag(args: &[String]) -> Option<Option<u64>> {
+/// Parses `--telemetry` / `--telemetry=N` out of `args` (the one parser
+/// behind every binary's flag). Parsed values: `None` (flag absent),
+/// `Some(DEFAULT_STRIDE)` (bare flag), `Some(n)` (explicit stride). A
+/// malformed or zero stride is `None` at the outer level (parse error).
+pub fn parse_telemetry_flag(args: &[String]) -> Option<Option<u64>> {
     let mut out = None;
     for a in args {
         if a == "--telemetry" {
-            out = Some(0);
+            out = Some(bump_sim::DEFAULT_STRIDE);
         } else if let Some(v) = a.strip_prefix("--telemetry=") {
             match v.parse::<u64>() {
                 Ok(n) if n > 0 => out = Some(n),
@@ -1277,7 +1271,7 @@ mod tests {
         assert_eq!(parse_telemetry_flag(&argv(&["fig"])), Some(None));
         assert_eq!(
             parse_telemetry_flag(&argv(&["fig", "--telemetry"])),
-            Some(Some(0))
+            Some(Some(bump_sim::DEFAULT_STRIDE))
         );
         assert_eq!(
             parse_telemetry_flag(&argv(&["fig", "--telemetry=4096"])),
@@ -1290,7 +1284,11 @@ mod tests {
     #[test]
     fn grid_telemetry_runs_produce_series_and_artifacts() {
         let grid = ExperimentGrid::cartesian(&[Preset::BaseOpen], &[Workload::WebSearch], opts());
-        let results = run_grid_instrumented_with(&grid, 1, false, Some(2048), |_, _, _| {});
+        let instruments = Instruments {
+            profile: false,
+            telemetry: Some(2048),
+        };
+        let results = run_grid(&grid.clone().instrument(instruments), 1);
         let (_, report) = &results.rows[0];
         let series = report.telemetry.as_ref().expect("telemetry requested");
         series.validate().expect("series well-formed");

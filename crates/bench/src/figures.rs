@@ -8,8 +8,8 @@
 //! figures from the shared results.
 
 use crate::experiment::{
-    results_dir, run_grid_instrumented_with, write_json, ExperimentGrid, ExperimentSpec, GridArgs,
-    GridResults, IncrementalCsv, SeedSummary,
+    results_dir, run_grid_with, write_json, ExperimentGrid, ExperimentSpec, GridArgs, GridResults,
+    IncrementalCsv, SeedSummary,
 };
 use crate::{emit, paper, pct, Scale, TextTable};
 use bump::BumpConfig;
@@ -198,18 +198,14 @@ pub fn by_name(name: &str) -> Option<Figure> {
 /// written as `results/<name>_seeds.csv` / `.json`.
 pub fn run_figure(figure: &Figure, args: GridArgs) {
     let grid = (figure.grid)(args.scale);
-    let expanded = grid.replicate_seeds(args.seeds);
+    let expanded = grid
+        .replicate_seeds(args.seeds)
+        .instrument(args.instruments);
     let stream = IncrementalCsv::new(figure.name);
-    let all = run_grid_instrumented_with(
-        &expanded,
-        args.threads,
-        args.profile,
-        args.telemetry,
-        move |_, spec, report| {
-            stream.append(&crate::experiment::MetricRow::of(spec, report));
-        },
-    );
-    if args.profile {
+    let all = run_grid_with(&expanded, args.threads, move |_, spec, report| {
+        stream.append(&crate::experiment::MetricRow::of(spec, report));
+    });
+    if args.instruments.profile {
         write_profile(figure.name, &all);
     }
     // Render from the replica-0 (calibrated-seed) subset when seeds

@@ -119,13 +119,6 @@ struct JobShared {
     id: u64,
     cells: Vec<ExperimentSpec>,
     on_cell: CellCallback,
-    /// Run cells with the engine phase profiler on (reports carry
-    /// `phase: Some(...)`); simulated results are unaffected.
-    profile: bool,
-    /// Run cells with the sim-time telemetry sampler on at this stride
-    /// (reports carry `telemetry: Some(...)`); like `profile`, the
-    /// simulated results are unaffected.
-    telemetry: Option<u64>,
     /// When the job entered the injector (queue-wait baseline).
     submitted: Instant,
     progress: Mutex<JobProgress>,
@@ -210,26 +203,10 @@ impl Scheduler {
     }
 
     /// Submits a job: `cells` are executed by the pool in cost/fairness
-    /// order, `on_cell` fires for each as it lands. Returns immediately
-    /// with a handle to wait on.
+    /// order (each with its own [`ExperimentSpec::instruments`]),
+    /// `on_cell` fires for each as it lands. Returns immediately with a
+    /// handle to wait on.
     pub fn submit(&self, cells: Vec<ExperimentSpec>, on_cell: CellCallback) -> JobHandle {
-        self.submit_instrumented(cells, false, None, on_cell)
-    }
-
-    /// [`Scheduler::submit`] with the instrument switches for every
-    /// cell of the job: with `profile` each report's `phase` is `Some`,
-    /// with `telemetry = Some(stride)` each carries the measurement
-    /// window's gauge series; everything else is byte-identical to a
-    /// plain run. The flags ride the job, not [`bump_sim::RunOptions`],
-    /// because the options' Debug rendering is the serving tier's
-    /// journal identity.
-    pub fn submit_instrumented(
-        &self,
-        cells: Vec<ExperimentSpec>,
-        profile: bool,
-        telemetry: Option<u64>,
-        on_cell: CellCallback,
-    ) -> JobHandle {
         let mut injector = self.shared.injector.lock().expect("injector poisoned");
         assert!(!injector.shutdown, "submit on a shut-down scheduler");
         let id = injector.next_job_id;
@@ -242,8 +219,6 @@ impl Scheduler {
             id,
             cells,
             on_cell,
-            profile,
-            telemetry,
             submitted: Instant::now(),
             progress: Mutex::new(JobProgress {
                 remaining,
@@ -384,7 +359,7 @@ fn worker_loop(shared: &Shared) {
         let started = Instant::now();
         let queue_wait = started.duration_since(job.submitted);
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let report = spec.run_instrumented(job.profile, job.telemetry);
+            let report = spec.run();
             let timing = CellTiming {
                 queue_wait,
                 execution: started.elapsed(),
@@ -532,8 +507,6 @@ mod tests {
                 id,
                 cells,
                 on_cell: Box::new(|_, _, _, _| {}),
-                profile: false,
-                telemetry: None,
                 submitted: Instant::now(),
                 progress: Mutex::new(JobProgress {
                     remaining,

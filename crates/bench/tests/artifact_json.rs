@@ -7,10 +7,12 @@
 //! never disagree. The phase profile and the telemetry document are
 //! checked against the reports they were rendered from.
 
-use bump_bench::experiment::{run_grid_instrumented_with, ExperimentGrid, MetricRow, SeedSummary};
+use bump_bench::experiment::{run_grid, ExperimentGrid, MetricRow, SeedSummary};
 use bump_bench::figures::profile_json;
 use bump_sim::json::{Json, Num};
-use bump_sim::{cells_to_json, series_from_json, Engine, Preset, RunOptions, PHASE_NAMES};
+use bump_sim::{
+    cells_to_json, series_from_json, Engine, Instruments, Preset, RunOptions, PHASE_NAMES,
+};
 use bump_workloads::Workload;
 
 /// Flattens nested objects to `outer_inner` keys, in order — the CSV
@@ -78,8 +80,11 @@ fn every_artifact_parses_back_to_its_source_values() {
     };
     let presets = [Preset::BaseOpen, Preset::Bump];
     let base = ExperimentGrid::cartesian(&presets, &[Workload::WebSearch], options);
-    let grid = base.replicate_seeds(2);
-    let results = run_grid_instrumented_with(&grid, 1, true, Some(512), |_, _, _| {});
+    let grid = base.replicate_seeds(2).instrument(Instruments {
+        profile: true,
+        telemetry: Some(512),
+    });
+    let results = run_grid(&grid, 1);
     let rows = results.metric_rows();
     let summary = SeedSummary::from_results(&base, &results, 2);
     let series: Vec<_> = results

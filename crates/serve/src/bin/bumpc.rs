@@ -22,7 +22,7 @@
 use bump_serve::client;
 use bump_serve::proto::{Frame, SubmitBatch, SubmitSpec};
 use bump_serve::trace::{export_chrome, export_ndjson, ActiveSpan, TraceContext, TraceId};
-use bump_sim::{Engine, Preset, RunOptions, Scenario};
+use bump_sim::{Engine, Instruments, Preset, RunOptions, Scenario};
 use bump_workloads::Workload;
 use std::time::Duration;
 
@@ -37,9 +37,12 @@ fn main() {
     let mut engine = Engine::default();
     let mut local = false;
     let mut trace = false;
-    let mut telemetry: Option<u64> = None;
     let mut threads = bump_bench::experiment::default_threads();
     let args: Vec<String> = std::env::args().collect();
+    // The figure binaries' parser, so local and routed runs submit the
+    // identical stride.
+    let telemetry = bump_bench::experiment::parse_telemetry_flag(&args)
+        .unwrap_or_else(|| usage("--telemetry= expects a positive cycle stride"));
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
@@ -83,19 +86,8 @@ fn main() {
             }
             "--local" => local = true,
             "--trace" => trace = true,
-            // `--telemetry` samples at the default stride;
-            // `--telemetry=N` overrides it. Normalized here, so local
-            // and routed runs submit the identical stride.
-            "--telemetry" => telemetry = Some(bump_sim::DEFAULT_STRIDE),
-            other if other.starts_with("--telemetry=") => {
-                telemetry = Some(
-                    other["--telemetry=".len()..]
-                        .parse::<u64>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| usage("--telemetry= expects a positive cycle stride")),
-                );
-            }
+            // Parsed above.
+            a if a == "--telemetry" || a.starts_with("--telemetry=") => {}
             "--threads" => {
                 threads = expect_value(&args, &mut i, "--threads")
                     .parse::<usize>()
@@ -131,23 +123,18 @@ fn main() {
             usage("--trace needs a server to trace; drop --local");
         }
         eprintln!("bumpc: running {cells} cells locally on {threads} threads");
+        let grid = spec.to_grid().instrument(Instruments {
+            profile: false,
+            telemetry,
+        });
+        let results = bump_bench::experiment::run_grid(&grid, threads);
         if telemetry.is_some() {
-            // Same scheduler path as the plain run, plus per-cell gauge
-            // series; the artifact writers live in the sim crate so a
-            // routed job produces byte-identical files.
-            let results = bump_bench::experiment::run_grid_instrumented_with(
-                &spec.to_grid(),
-                threads,
-                false,
-                telemetry,
-                |_, _, _| {},
-            );
+            // The artifact writers live in the sim crate, so a routed
+            // job produces byte-identical files.
             results.write_telemetry_files("bumpc");
             eprintln!("bumpc: telemetry -> results/telemetry_bumpc.csv + .json");
-            print!("{}", results.to_csv());
-        } else {
-            print!("{}", client::local_csv(&spec, threads));
         }
+        print!("{}", results.to_csv());
         return;
     }
     // With --trace, bumpc opens the trace's root span and sends the

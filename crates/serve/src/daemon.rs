@@ -26,8 +26,9 @@ use crate::metrics::{Histogram, MetricsBuf};
 use crate::proto::{CellResult, Frame, SubmitBatch};
 use crate::telemetry::TelemetryStore;
 use crate::trace::{correlate, now_us, ActiveSpan, Registry, Span, SpanId};
-use bump_bench::experiment::MetricRow;
+use bump_bench::experiment::{ExperimentSpec, MetricRow};
 use bump_bench::sched::Scheduler;
+use bump_sim::Instruments;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -199,7 +200,19 @@ impl Daemon {
         // meeting point with the connection handler.
         let collected: Arc<Mutex<Vec<Span>>> = Arc::new(Mutex::new(Vec::new()));
         if !pending.is_empty() {
-            let pending_specs = pending.iter().map(|&i| cells[i].clone()).collect();
+            // Tracing profiles the cells; neither instrument changes
+            // a cell's identity or its journaled rows.
+            let instruments = Instruments {
+                profile: ctx.is_some(),
+                telemetry: batch.telemetry,
+            };
+            let pending_specs = pending
+                .iter()
+                .map(|&i| ExperimentSpec {
+                    instruments,
+                    ..cells[i].clone()
+                })
+                .collect();
             let pending_keys: Vec<u64> = pending.iter().map(|&i| keys[i]).collect();
             let grid_index: Vec<usize> = pending;
             let cell_outbox = outbox.clone();
@@ -208,10 +221,8 @@ impl Daemon {
             // Arc of the daemon for journal access rather than
             // borrowing this connection handler's stack.
             let daemon = Arc::clone(self);
-            let handle = self.sched.submit_instrumented(
+            let handle = self.sched.submit(
                 pending_specs,
-                ctx.is_some(),
-                batch.telemetry,
                 Box::new(move |j, spec, report, timing| {
                     // The worker invokes the callback right after the
                     // simulation returns, so "now" is the execution

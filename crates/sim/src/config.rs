@@ -131,6 +131,24 @@ impl std::fmt::Display for Engine {
     }
 }
 
+/// The out-of-band instruments a run can switch on. Both are off by
+/// default. Neither changes a simulated outcome, so they stay out of
+/// [`crate::RunOptions`], whose `Debug` rendering is the serving tier's
+/// journal and cache identity: an instrumented cell shares its identity
+/// (and its result rows) with the plain one.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Instruments {
+    /// The engine phase profiler: the report's `phase` is `Some` and
+    /// covers the measurement window only.
+    pub profile: bool,
+    /// The sim-time telemetry sampler at this stride in measured cycles
+    /// (positive; the CLI's bare `--telemetry` selects
+    /// [`crate::DEFAULT_STRIDE`]): the report's `telemetry` holds the
+    /// measurement window's gauge series (the sampler resets at the
+    /// warmup boundary).
+    pub telemetry: Option<u64>,
+}
+
 /// Complete system configuration.
 #[derive(Clone, Debug)]
 pub struct SystemConfig {
@@ -159,6 +177,8 @@ pub struct SystemConfig {
     /// Which simulation loop to run (cycle-accurate oracle vs
     /// event-driven fast-forwarding; both are report-identical).
     pub engine: Engine,
+    /// Instruments [`crate::System::new`] switches on; off by default.
+    pub instruments: Instruments,
 }
 
 impl SystemConfig {
@@ -180,6 +200,7 @@ impl SystemConfig {
             bump: BumpConfig::paper(),
             noc_latency: 5,
             engine: Engine::default(),
+            instruments: Instruments::default(),
         }
     }
 

@@ -39,13 +39,12 @@ mod scenario;
 mod system;
 mod telemetry;
 
-pub use config::{Engine, Preset, SystemConfig};
+pub use config::{Engine, Instruments, Preset, SystemConfig};
 pub use phase::{Phase, PhaseProfile, PhaseSample, PHASE_NAMES};
 pub use profiler::{DensityProfile, DensityProfiler};
 pub use report::{SimReport, TrafficBreakdown};
 pub use runner::{
-    config_for, config_for_scenario, run_experiment, run_experiment_with_config,
-    run_experiment_with_config_instrumented, RunOptions,
+    config_for, config_for_scenario, run_experiment, run_experiment_with_config, RunOptions,
 };
 pub use scenario::Scenario;
 pub use system::System;

@@ -9,7 +9,7 @@
 //!
 //! Disabled (the default) it costs one branch per [`PhaseProfiler::enter`] /
 //! [`PhaseProfiler::exit`] pair — a handful of predictable branches per
-//! simulated cycle, guarded by the `profiler_guard` bench
+//! simulated cycle, guarded by the `instrument_guard` bench
 //! (`results/bench_trajectory/`). Enabled, it stays cheap by
 //! *sampling*: every lap is counted, but only 1 in 17 top-level laps
 //! (plus whatever nests inside them) actually reads the clock — the

@@ -97,40 +97,13 @@ pub fn run_experiment(preset: Preset, workload: Workload, opts: RunOptions) -> S
 }
 
 /// Runs one experiment from an explicit configuration (used by the
-/// ablation benches that tweak BuMP's tables or thresholds). The
-/// engine choice always comes from `opts`, so one CLI flag switches
-/// every cell of a sweep — including custom-config cells.
-pub fn run_experiment_with_config(cfg: SystemConfig, opts: RunOptions) -> SimReport {
-    run_experiment_with_config_instrumented(cfg, opts, false, None)
-}
-
-/// [`run_experiment_with_config`] with the two out-of-band instrument
-/// switches. They travel outside [`RunOptions`] deliberately: the
-/// options' Debug rendering is the serving tier's journal/cache
-/// identity, and an instrumented run simulates identically to a plain
-/// one, so the two must share an identity.
-///
-/// * `profile` turns on the engine phase profiler: the report's
-///   `phase` is `Some` and covers the measurement window only.
-/// * `telemetry` is the sim-time sampling stride in measured cycles
-///   (`Some(0)` selects [`crate::telemetry::DEFAULT_STRIDE`]): the
-///   report's `telemetry` holds the measurement window's gauge series
-///   (the sampler resets at the warmup boundary).
-pub fn run_experiment_with_config_instrumented(
-    cfg: SystemConfig,
-    opts: RunOptions,
-    profile: bool,
-    telemetry: Option<u64>,
-) -> SimReport {
-    let mut cfg = cfg;
+/// ablation benches that tweak BuMP's tables or thresholds, and by
+/// instrumented runs, which set `cfg.instruments`). The engine choice
+/// always comes from `opts`, so one CLI flag switches every cell of a
+/// sweep — including custom-config cells.
+pub fn run_experiment_with_config(mut cfg: SystemConfig, opts: RunOptions) -> SimReport {
     cfg.engine = opts.engine;
     let mut sys = System::new(cfg);
-    if profile {
-        sys.enable_phase_profiling();
-    }
-    if let Some(stride) = telemetry {
-        sys.enable_telemetry(stride);
-    }
     sys.run(opts.warmup_instructions, opts.max_cycles);
     sys.reset_stats();
     sys.run(opts.measure_instructions, opts.max_cycles);

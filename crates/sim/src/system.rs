@@ -394,7 +394,8 @@ pub struct System {
 }
 
 impl System {
-    /// Builds the system described by `cfg`.
+    /// Builds the system described by `cfg`, with `cfg.instruments`
+    /// switched on.
     pub fn new(cfg: SystemConfig) -> Self {
         let cores = (0..cfg.cores)
             .map(|i| LeanCore::new(i, cfg.core_params))
@@ -428,7 +429,7 @@ impl System {
             fill: false,
             evict: true,
         });
-        System {
+        let mut sys = System {
             bank: CoreBank::new(cores, l1s, gens),
             llc,
             noc: Noc::new(cfg.noc_latency),
@@ -469,7 +470,14 @@ impl System {
             scratch_completions: Vec::new(),
             scratch_events: Vec::new(),
             cfg,
+        };
+        if sys.cfg.instruments.profile {
+            sys.enable_phase_profiling();
         }
+        if let Some(stride) = sys.cfg.instruments.telemetry {
+            sys.enable_telemetry(stride);
+        }
+        sys
     }
 
     /// The configuration this system was built with.
@@ -506,13 +514,13 @@ impl System {
     }
 
     /// Switches the sim-time telemetry sampler on: every `stride`
-    /// measured cycles (0 selects [`crate::telemetry::DEFAULT_STRIDE`])
-    /// the system snapshots its architectural gauges, and the final
-    /// report's `telemetry` field becomes `Some`. Sampling is keyed on
-    /// the measured-cycle counter, so both engines observe identical
-    /// instants and produce byte-identical series; it reads counters the
-    /// simulation already maintains, so every simulated outcome stays
-    /// byte-identical with it on or off.
+    /// measured cycles (positive) the system snapshots its
+    /// architectural gauges, and the final report's `telemetry` field
+    /// becomes `Some`. Sampling is keyed on the measured-cycle counter,
+    /// so both engines observe identical instants and produce
+    /// byte-identical series; it reads counters the simulation already
+    /// maintains, so every simulated outcome stays byte-identical with
+    /// it on or off.
     pub fn enable_telemetry(&mut self, stride: u64) {
         let channels = self.mc.channel_count() as u32;
         let cores = self.bank.len() as u32;
@@ -952,7 +960,7 @@ impl System {
         // call in `DramTick`, while the fast-forward path's
         // [`System::step_dram_only`] ticks accrue to `FastForward` —
         // a per-fast-forwarded-tick lap would cost more than the work
-        // it measures (see `benches/profiler_guard.rs`).
+        // it measures (see `benches/instrument_guard.rs`).
         let ratio = self.cfg.dram.freq_ratio_milli;
         let engine = self.cfg.engine;
         self.mem_clock_acc += 1000;
@@ -1361,20 +1369,15 @@ impl System {
         }
     }
 
-    /// A telemetry-aware [`System::skip_cycles`] /
-    /// [`System::skip_cycles_refresh_only`]: with telemetry off it is
-    /// exactly the plain bulk skip; with it on, the skip is carved at
+    /// A telemetry-aware [`System::skip_cycles`]: with telemetry off it
+    /// is exactly the plain bulk skip; with it on, the skip is carved at
     /// sample boundaries so the gauge series records the same points the
     /// oracle's per-cycle stepping would — `idle_before` (the span's
     /// idle cycles before this skip) keeps the integrated core-stall
     /// charge exact at each carve.
     fn skip_span(&mut self, n: u64, refresh_only: bool, idle_before: u64) {
         if self.telemetry.is_none() {
-            if refresh_only {
-                self.skip_cycles_refresh_only(n);
-            } else {
-                self.skip_cycles(n);
-            }
+            self.skip_cycles(n, refresh_only);
             return;
         }
         let mut done = 0;
@@ -1382,11 +1385,7 @@ impl System {
             // telemetry_next is finite and strictly ahead of
             // measured_cycles while telemetry is on, so k > 0.
             let k = (n - done).min(self.telemetry_next - self.measured_cycles);
-            if refresh_only {
-                self.skip_cycles_refresh_only(k);
-            } else {
-                self.skip_cycles(k);
-            }
+            self.skip_cycles(k, refresh_only);
             done += k;
             self.ff_idle = idle_before + done;
             if self.measured_cycles == self.telemetry_next {
@@ -1447,9 +1446,13 @@ impl System {
     /// the DRAM clock-domain accumulator and bulk-applies the per-rank
     /// background-energy accounting, leaving all architectural state
     /// untouched — exactly what `n` sequential [`System::step`]s would
-    /// have done. The caller accounts the cores' idle cycles
-    /// (see [`System::fast_forward`]'s span-end replay).
-    fn skip_cycles(&mut self, n: u64) {
+    /// have done. With `refresh_only` the memory controller is in its
+    /// refresh-only idle regime: the skipped memory ticks may contain
+    /// refresh commands, which it replays in closed form instead of
+    /// stepping them through `tick_dram`. The caller accounts the
+    /// cores' idle cycles (see [`System::fast_forward`]'s span-end
+    /// replay).
+    fn skip_cycles(&mut self, n: u64, refresh_only: bool) {
         self.measured_cycles += n;
         let ratio = self.cfg.dram.freq_ratio_milli;
         // The per-cycle loop adds 1000 then drains below `ratio`; n
@@ -1459,26 +1462,13 @@ impl System {
         let ticks = total / ratio;
         self.mem_clock_acc = total % ratio;
         if ticks > 0 {
-            self.mem_cycle += ticks;
-            self.mc.skip_idle(ticks);
-        }
-        self.now += n;
-    }
-
-    /// [`System::skip_cycles`] for spans in which the memory controller
-    /// is in its refresh-only idle regime: the skipped memory ticks may
-    /// contain refresh commands, which the controller replays in closed
-    /// form instead of being individually stepped through `tick_dram`.
-    fn skip_cycles_refresh_only(&mut self, n: u64) {
-        self.measured_cycles += n;
-        let ratio = self.cfg.dram.freq_ratio_milli;
-        let total = self.mem_clock_acc + n * 1000;
-        let ticks = total / ratio;
-        self.mem_clock_acc = total % ratio;
-        if ticks > 0 {
             let start = self.mem_cycle;
             self.mem_cycle += ticks;
-            self.mc.skip_refresh_idle(start, ticks);
+            if refresh_only {
+                self.mc.skip_refresh_idle(start, ticks);
+            } else {
+                self.mc.skip_idle(ticks);
+            }
         }
         self.now += n;
     }

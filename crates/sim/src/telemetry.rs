@@ -156,10 +156,10 @@ pub struct TelemetrySampler {
 }
 
 impl TelemetrySampler {
-    /// A sampler at `stride` cycles (0 selects [`DEFAULT_STRIDE`]) for
-    /// a machine with `channels` DRAM channels and `cores` cores.
+    /// A sampler at `stride` cycles (positive) for a machine with
+    /// `channels` DRAM channels and `cores` cores.
     pub fn new(stride: u64, channels: u32, cores: u32) -> Self {
-        let stride = if stride == 0 { DEFAULT_STRIDE } else { stride };
+        assert!(stride > 0, "telemetry stride must be positive");
         TelemetrySampler {
             base_stride: stride,
             stride,

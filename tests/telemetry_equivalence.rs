@@ -7,8 +7,10 @@
 //! retry storms (where queue depth and park depth are derived from
 //! coalesced batches instead of per-request events).
 
+use bump_bench::experiment::{ExperimentGrid, ExperimentSpec, MetricRow};
+use bump_serve::journal::{cell_identity, cell_key};
 use bump_sim::{
-    config_for, run_experiment_with_config_instrumented, series_to_json, Engine, Preset,
+    config_for, run_experiment_with_config, series_to_json, Engine, Instruments, Preset,
     RunOptions, TelemetrySeries,
 };
 use bump_workloads::Workload;
@@ -25,13 +27,17 @@ fn opts(engine: Engine, seed: u64) -> RunOptions {
     }
 }
 
+fn telemetry(stride: u64) -> Instruments {
+    Instruments {
+        profile: false,
+        telemetry: Some(stride),
+    }
+}
+
 fn run(preset: Preset, workload: Workload, o: RunOptions, stride: u64) -> TelemetrySeries {
-    let r = run_experiment_with_config_instrumented(
-        config_for(preset, workload, o),
-        o,
-        false,
-        Some(stride),
-    );
+    let mut cfg = config_for(preset, workload, o);
+    cfg.instruments = telemetry(stride);
+    let r = run_experiment_with_config(cfg, o);
     r.telemetry.expect("telemetry enabled")
 }
 
@@ -94,14 +100,30 @@ fn fine_strides_land_samples_inside_null_spans() {
 #[test]
 fn telemetry_leaves_the_simulation_untouched() {
     // An instrumented run must simulate byte-identically to a plain
-    // one: strip the telemetry field and compare full Debug renders.
-    let o = opts(Engine::Event, 42);
-    let cfg = config_for(Preset::Bump, Workload::WebSearch, o);
-    let plain = run_experiment_with_config_instrumented(cfg.clone(), o, false, None);
-    let mut inst = run_experiment_with_config_instrumented(cfg, o, false, Some(1024));
-    assert!(plain.telemetry.is_none());
-    assert!(inst.telemetry.is_some());
+    // one: strip the instrument fields and compare full Debug renders,
+    // then the result row and the serving tier's cell identity (the
+    // journal and router-cache key), which must not see instruments.
+    let plain_spec =
+        ExperimentSpec::new(Preset::Bump, Workload::WebSearch, opts(Engine::Event, 42));
+    let inst_spec = ExperimentSpec {
+        instruments: Instruments {
+            profile: true,
+            telemetry: Some(1024),
+        },
+        ..plain_spec.clone()
+    };
+    let plain = plain_spec.run();
+    let mut inst = inst_spec.run();
+    assert!(plain.telemetry.is_none() && plain.phase.is_none());
+    assert!(inst.telemetry.is_some() && inst.phase.is_some());
+    assert_eq!(
+        MetricRow::of(&plain_spec, &plain).to_csv(),
+        MetricRow::of(&inst_spec, &inst).to_csv()
+    );
+    assert_eq!(cell_identity(&plain_spec), cell_identity(&inst_spec));
+    assert_eq!(cell_key(&plain_spec), cell_key(&inst_spec));
     inst.telemetry = None;
+    inst.phase = None;
     assert_eq!(format!("{plain:?}"), format!("{inst:?}"));
 }
 
@@ -111,17 +133,18 @@ fn series_are_identical_for_any_thread_count() {
     // grid output, so the scheduler's thread count (and thus cell
     // completion order) must not leak into the series. Render the
     // whole grid's series on 1 and 3 threads and compare bytes.
-    use bump_bench::experiment::{run_grid_instrumented_with, ExperimentGrid};
+    use bump_bench::experiment::run_grid_with;
     use std::sync::{Arc, Mutex};
     let grid = ExperimentGrid::cartesian(
         &[Preset::BaseOpen, Preset::Bump],
         &[Workload::WebSearch, Workload::DataServing],
         opts(Engine::Event, 42),
-    );
+    )
+    .instrument(telemetry(1024));
     let render = |threads: usize| {
         let collected: Arc<Mutex<Vec<(usize, String)>>> = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&collected);
-        run_grid_instrumented_with(&grid, threads, false, Some(1024), move |i, spec, report| {
+        run_grid_with(&grid, threads, move |i, spec, report| {
             let series = report.telemetry.as_ref().expect("telemetry enabled");
             sink.lock()
                 .unwrap()
