@@ -4,7 +4,7 @@
 //! few picojoules per lookup — §V.F).
 
 use bump::{Bump, BumpConfig};
-use bump_cache::{EventSubscriptions, Llc, LlcConfig};
+use bump_cache::{Llc, LlcConfig};
 use bump_prefetch::{Prefetcher, SmsPrefetcher, StridePrefetcher};
 use bump_types::{
     AccessKind, AssocTable, BlockAddr, MemoryRequest, Pc, RegionAddr, RegionConfig, TrafficClass,
@@ -137,25 +137,9 @@ fn bench_llc_pump(c: &mut Criterion) {
         scratch.clear();
     };
     let mut g = c.benchmark_group("llc_pump");
-    // Every emission site live: the pre-gating behavior.
-    g.bench_function("access_drain_all_on", |b| {
+    // Demand accesses emit events; the speculative lookups emit none.
+    g.bench_function("access_drain", |b| {
         let mut llc = Llc::new(LlcConfig::paper());
-        llc.set_event_subscriptions(EventSubscriptions::all());
-        let mut scratch = Vec::new();
-        let mut base = 0u64;
-        b.iter(|| run(&mut llc, &mut scratch, &mut base));
-    });
-    // The system's production subscription set: speculative accesses
-    // and fills are never consumed, so they are never materialized.
-    g.bench_function("access_drain_gated", |b| {
-        let mut llc = Llc::new(LlcConfig::paper());
-        llc.set_event_subscriptions(EventSubscriptions {
-            demand_access: true,
-            spec_access: false,
-            writeback_in: true,
-            fill: false,
-            evict: true,
-        });
         let mut scratch = Vec::new();
         let mut base = 0u64;
         b.iter(|| run(&mut llc, &mut scratch, &mut base));

@@ -967,8 +967,13 @@ impl GridArgs {
         let args: Vec<String> = std::env::args().collect();
         for i in 0..args.len() {
             if args[i] == "--threads" {
-                if let Some(v) = args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-                    threads = v.max(1);
+                match args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
+                    // `--threads 0` still means one worker.
+                    Some(n) => threads = n.max(1),
+                    None => {
+                        eprintln!("error: --threads expects a worker count");
+                        std::process::exit(2);
+                    }
                 }
             }
             if args[i] == "--seeds" {

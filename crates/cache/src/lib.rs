@@ -3,7 +3,7 @@
 //! cache (LLC) with MSHRs.
 //!
 //! The LLC is the vantage point of the whole paper: BuMP, SMS, and VWQ
-//! all observe the LLC access/fill/eviction streams. The LLC therefore
+//! all observe the LLC's demand-access, writeback and eviction streams. The LLC therefore
 //! emits an explicit [`LlcEvent`] stream the system simulator forwards
 //! to whichever mechanism is configured.
 //!
@@ -34,7 +34,7 @@ mod set_assoc;
 
 pub use l1::{L1Cache, L1Outcome, L1Stats};
 pub use llc::{
-    AccessAction, AccessOutcome, ClassCounts, EventSubscriptions, EvictionKind, FillOutcome, Llc,
-    LlcConfig, LlcEvent, LlcStats, MshrError, Waiter,
+    AccessAction, AccessOutcome, ClassCounts, EvictionKind, FillOutcome, Llc, LlcConfig, LlcEvent,
+    LlcStats, MshrError, Waiter,
 };
 pub use set_assoc::{Line, SetAssocCache};

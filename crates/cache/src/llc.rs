@@ -1,8 +1,8 @@
 //! The shared, banked last-level cache with MSHRs.
 //!
 //! Everything the paper's mechanisms observe happens here: demand
-//! accesses (with their PCs), fills, and evictions are emitted as an
-//! [`LlcEvent`] stream. The LLC also keeps the coverage/overfetch
+//! accesses (with their PCs), L1 writebacks, and evictions are emitted
+//! as an [`LlcEvent`] stream. The LLC also keeps the coverage/overfetch
 //! accounting for speculative traffic (Figure 8): a speculatively filled
 //! line is *covered* if a demand access touches it before eviction
 //! (including a demand merge while the fill is still in flight) and
@@ -137,9 +137,14 @@ pub struct FillOutcome {
 }
 
 /// An observable LLC event, consumed by BuMP / SMS / VWQ monitors.
+///
+/// The stream carries exactly what the paper's monitors (§IV: RDTT,
+/// BHT, DRT) observe: demand accesses, L1 writebacks and evictions.
+/// Speculative lookups and fills change cache state and statistics but
+/// emit no event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LlcEvent {
-    /// A lookup was performed (demand or speculative).
+    /// A demand lookup was performed.
     Access {
         /// The request as it arrived (carries the PC).
         req: MemoryRequest,
@@ -152,13 +157,6 @@ pub enum LlcEvent {
         /// The block written back by the L1.
         block: BlockAddr,
     },
-    /// A block was filled from DRAM.
-    Fill {
-        /// The filled block.
-        block: BlockAddr,
-        /// The class of the transaction that fetched it.
-        class: TrafficClass,
-    },
     /// A block was evicted.
     Evict {
         /// The evicted block.
@@ -166,50 +164,6 @@ pub enum LlcEvent {
         /// Whether it was dirty (and thus headed to DRAM).
         dirty: bool,
     },
-}
-
-/// Which [`LlcEvent`] kinds the caller's monitors actually consume.
-///
-/// The LLC is a producer with exactly one consumer (the system's event
-/// pump); a kind nobody subscribes to is pure allocation churn — the
-/// Base presets, for example, run no SMS/BuMP/VWQ monitor at all, yet
-/// used to pay one `Vec` push per access. Unsubscribed kinds are
-/// simply never emitted; everything else (stats, cache state, MSHR
-/// bookkeeping) is unaffected.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EventSubscriptions {
-    /// Demand `Access` events (density profiler + prefetcher feeds).
-    pub demand_access: bool,
-    /// Speculative `Access` events (no current consumer: every monitor
-    /// keys off demand traffic).
-    pub spec_access: bool,
-    /// `WritebackIn` events (RDTT dirty bits, VWQ).
-    pub writeback_in: bool,
-    /// `Fill` events (no current consumer: fill accounting lives in
-    /// `LlcStats`).
-    pub fill: bool,
-    /// `Evict` events (generation closure for every region monitor).
-    pub evict: bool,
-}
-
-impl EventSubscriptions {
-    /// Every kind emitted — the conservative default for direct users
-    /// of [`Llc`] (tests, tools) that inspect the raw stream.
-    pub fn all() -> Self {
-        EventSubscriptions {
-            demand_access: true,
-            spec_access: true,
-            writeback_in: true,
-            fill: true,
-            evict: true,
-        }
-    }
-}
-
-impl Default for EventSubscriptions {
-    fn default() -> Self {
-        Self::all()
-    }
 }
 
 /// Traffic and outcome statistics (Figures 8 and 12).
@@ -322,7 +276,6 @@ pub struct Llc {
     bank_free: Vec<Cycle>,
     stats: LlcStats,
     events: Vec<LlcEvent>,
-    subs: EventSubscriptions,
 }
 
 impl Llc {
@@ -335,16 +288,7 @@ impl Llc {
             bank_free: vec![0; config.banks as usize],
             stats: LlcStats::default(),
             events: Vec::new(),
-            subs: EventSubscriptions::all(),
         }
-    }
-
-    /// Declares which event kinds the consumer will read; unsubscribed
-    /// kinds are never emitted. Call once at construction time — the
-    /// subscription set is part of the consumer contract, not per-cycle
-    /// state.
-    pub fn set_event_subscriptions(&mut self, subs: EventSubscriptions) {
-        self.subs = subs;
     }
 
     /// The configuration in force.
@@ -383,9 +327,8 @@ impl Llc {
     /// three externally visible things — charges its bank for one slot,
     /// counts a speculative lookup, and counts an MSHR stall. Same-
     /// cycle bank charges fold (`k` charges at `now` leave the bank at
-    /// `max(free, now) + k`), and the `LlcEvent::Access` record a real
-    /// access would emit is ignored by every consumer for non-demand
-    /// misses, so replaying the counters is exact.
+    /// `max(free, now) + k`), and a refused speculative access emits no
+    /// [`LlcEvent`], so replaying the counters is exact.
     pub fn replay_refused_speculative(&mut self, bank_counts: &[u32], total: u64, now: Cycle) {
         debug_assert_eq!(bank_counts.len(), self.bank_free.len());
         for (free, &n) in self.bank_free.iter_mut().zip(bank_counts) {
@@ -437,12 +380,7 @@ impl Llc {
             }
             resident
         };
-        let subscribed = if is_demand {
-            self.subs.demand_access
-        } else {
-            self.subs.spec_access
-        };
-        if subscribed {
+        if is_demand {
             self.events.push(LlcEvent::Access { req, hit });
         }
         if hit {
@@ -523,9 +461,7 @@ impl Llc {
     pub fn writeback_from_l1(&mut self, block: BlockAddr, now: Cycle) -> Option<BlockAddr> {
         let _ = self.charge_bank(block, now);
         self.stats.l1_writebacks += 1;
-        if self.subs.writeback_in {
-            self.events.push(LlcEvent::WritebackIn { block });
-        }
+        self.events.push(LlcEvent::WritebackIn { block });
         if let Some(line) = self.cache.touch(block) {
             if !line.meta.dirty && line.meta.eager_cleaned {
                 self.stats.redirty_after_eager += 1;
@@ -570,12 +506,6 @@ impl Llc {
             .unwrap_or_else(|| panic!("fill without MSHR for {block:?}"));
         self.stats.fills += 1;
         self.stats.fills_by_class.inc(m.class);
-        if self.subs.fill {
-            self.events.push(LlcEvent::Fill {
-                block,
-                class: m.class,
-            });
-        }
         let spec = if m.class.is_speculative() && !m.demanded {
             Some(m.class)
         } else {
@@ -603,12 +533,10 @@ impl Llc {
         if let Some(spec) = v.meta.spec {
             self.stats.overfetch.inc(spec);
         }
-        if self.subs.evict {
-            self.events.push(LlcEvent::Evict {
-                block: v.block,
-                dirty: v.meta.dirty,
-            });
-        }
+        self.events.push(LlcEvent::Evict {
+            block: v.block,
+            dirty: v.meta.dirty,
+        });
         if v.meta.dirty {
             self.stats.dirty_evictions += 1;
             Some(v.block)
@@ -944,13 +872,16 @@ mod tests {
     fn events_cover_access_fill_evict() {
         let mut llc = Llc::new(LlcConfig::paper());
         llc.access(demand(1, AccessKind::Load), 0);
+        llc.access(bulk(2), 0);
         llc.fill(b(1), 10);
         llc.evict_for_test(b(1));
         let mut ev = Vec::new();
         llc.drain_events_into(&mut ev);
+        // Speculative lookups and fills emit nothing: the stream is the
+        // monitors' demand-access / writeback / eviction view.
+        assert_eq!(ev.len(), 2);
         assert!(matches!(ev[0], LlcEvent::Access { hit: false, .. }));
-        assert!(matches!(ev[1], LlcEvent::Fill { .. }));
-        assert!(matches!(ev[2], LlcEvent::Evict { dirty: false, .. }));
+        assert!(matches!(ev[1], LlcEvent::Evict { dirty: false, .. }));
         llc.drain_events_into(&mut ev);
         assert!(ev.is_empty(), "events drain");
     }

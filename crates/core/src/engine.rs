@@ -117,11 +117,6 @@ impl Bump {
         &self.rdtt
     }
 
-    /// The traffic class BuMP's generated reads carry.
-    pub fn read_class(&self) -> TrafficClass {
-        TrafficClass::BulkRead
-    }
-
     /// Observes an LLC lookup. Demand traffic trains the RDTT; demand
     /// misses probe the BHT and may launch a bulk read.
     pub fn on_llc_access(&mut self, req: &MemoryRequest, hit: bool, out: &mut Vec<BulkAction>) {

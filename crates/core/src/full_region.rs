@@ -27,11 +27,6 @@ impl FullRegion {
         }
     }
 
-    /// The traffic class its generated reads carry.
-    pub fn read_class(&self) -> TrafficClass {
-        TrafficClass::FullRegionRead
-    }
-
     /// (bulk reads, bulk writebacks) launched so far.
     pub fn counters(&self) -> (u64, u64) {
         (self.reads, self.writebacks)

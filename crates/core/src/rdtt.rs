@@ -95,11 +95,6 @@ impl RegionDensityTracker {
         }
     }
 
-    /// The region geometry being tracked.
-    pub fn region_config(&self) -> RegionConfig {
-        self.region_cfg
-    }
-
     /// Statistics so far.
     pub fn stats(&self) -> &RdttStats {
         &self.stats

@@ -122,9 +122,6 @@ pub struct LeanCore {
     deferred_loads: u32,
     /// Remaining count of a partially dispatched compute batch.
     compute_backlog: u32,
-    /// Scratch for [`LeanCore::memory_response_many`]:
-    /// `(block, waiters, rob_waiters)` per accepted response.
-    resp_scratch: Vec<(BlockAddr, u32, u32)>,
     stats: CoreStats,
     stream_done: bool,
 }
@@ -144,7 +141,6 @@ impl LeanCore {
             pending_dispatch: None,
             deferred_loads: 0,
             compute_backlog: 0,
-            resp_scratch: Vec::new(),
             stats: CoreStats::default(),
             stream_done: false,
         }
@@ -332,53 +328,6 @@ impl LeanCore {
         // Whatever waiters were not ROB entries are store-buffer slots.
         let sb = waiters.saturating_sub(rob_waiters);
         self.store_buffer_used = self.store_buffer_used.saturating_sub(sb);
-        self.advance_completed_seq();
-        true
-    }
-
-    /// Delivers a batch of same-cycle memory responses as one call:
-    /// exactly equivalent to calling [`LeanCore::memory_response`] for
-    /// each block in order, but with a single ROB pass for the whole
-    /// batch. Returns whether any response was accepted.
-    ///
-    /// Same-cycle responses commute here: each accepted block's waiters
-    /// are claimed by the `outstanding` removal first (so a duplicate
-    /// block in the batch is ignored, exactly like the second of two
-    /// sequential calls), the combined ROB pass marks the union of the
-    /// entries the per-block passes would have marked with the same
-    /// `Ready { at: now }` slot, and `advance_completed_seq` is a
-    /// monotone fixpoint, so running it once at the end reaches the
-    /// same sequence number as running it after every call.
-    pub fn memory_response_many(&mut self, blocks: &[BlockAddr], now: Cycle) -> bool {
-        if let [block] = blocks {
-            return self.memory_response(*block, now);
-        }
-        self.resp_scratch.clear();
-        for &block in blocks {
-            if let Some(waiters) = self.outstanding.remove(&block) {
-                self.resp_scratch.push((block, waiters, 0));
-            }
-        }
-        if self.resp_scratch.is_empty() {
-            return false;
-        }
-        for e in &mut self.rob {
-            let RobSlot::WaitingMem { block: b } = e.slot else {
-                continue;
-            };
-            let Some(hit) = self.resp_scratch.iter_mut().find(|(rb, ..)| *rb == b) else {
-                continue;
-            };
-            hit.2 += 1;
-            e.slot = RobSlot::Ready { at: now };
-            if let Some(seq) = e.load_seq {
-                self.load_done.insert(seq, true);
-            }
-        }
-        for &(_, waiters, rob_waiters) in &self.resp_scratch {
-            let sb = waiters.saturating_sub(rob_waiters);
-            self.store_buffer_used = self.store_buffer_used.saturating_sub(sb);
-        }
         self.advance_completed_seq();
         true
     }

@@ -28,14 +28,6 @@ pub enum CommandKind {
 }
 
 impl CommandKind {
-    /// Whether this is a column (data-moving) command.
-    pub fn is_column(self) -> bool {
-        matches!(
-            self,
-            CommandKind::Read | CommandKind::ReadAuto | CommandKind::Write | CommandKind::WriteAuto
-        )
-    }
-
     /// Whether this column command moves data toward DRAM.
     pub fn is_write_column(self) -> bool {
         matches!(self, CommandKind::Write | CommandKind::WriteAuto)

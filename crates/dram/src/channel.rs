@@ -459,98 +459,6 @@ impl Channel {
         }
     }
 
-    /// Whether this channel's only possible activity is periodic
-    /// refresh: no queued or in-flight transactions, not in write-drain
-    /// mode (an empty write queue in drain mode still owes a mode
-    /// flip), every bank precharged, and no rank's next refresh gated
-    /// on a bank timing constraint left over from pre-span activity.
-    ///
-    /// Under these conditions every refresh in an arbitrarily long
-    /// skipped span issues exactly at `max(refresh_due, refresh_until)`
-    /// (deferred only by same-cycle command-slot contention): the rank
-    /// is pending at that tick, all its banks are closed, and — since a
-    /// refresh leaves its banks ready exactly when its in-progress
-    /// window ends — later refreshes of the span can never be blocked
-    /// either. That makes [`Channel::skip_refresh_idle`] exact.
-    pub fn refresh_only_idle(&self) -> bool {
-        if !self.read_queue.is_empty()
-            || !self.write_queue.is_empty()
-            || !self.in_flight.is_empty()
-            || self.write_drain
-        {
-            return false;
-        }
-        let bpr = self.geom.banks_per_rank as usize;
-        for (r, rank) in self.ranks.iter().enumerate() {
-            if rank.open_banks > 0 {
-                return false;
-            }
-            let p = rank.refresh_until().unwrap_or(0).max(rank.refresh_due());
-            let ready = self.banks[r * bpr..(r + 1) * bpr]
-                .iter()
-                .map(Bank::earliest_activate)
-                .max()
-                .unwrap_or(0);
-            if p < ready {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Replays memory ticks `[m0, m0 + cycles)` in closed form for a
-    /// channel in the [`Channel::refresh_only_idle`] regime: bulk
-    /// background-energy accounting plus every refresh the span
-    /// contains, issued at exactly the cycle the per-tick scheduler
-    /// would have picked (first pending rank in index order, one
-    /// command slot per cycle). Completed in-progress markers are left
-    /// for the next full tick's `finish_refresh`, exactly as the
-    /// memoized-horizon fast path leaves them.
-    pub fn skip_refresh_idle(&mut self, m0: MemCycle, cycles: u64) {
-        debug_assert!(self.refresh_only_idle());
-        let m_end = m0 + cycles;
-        // All ranks are fully precharged for the whole span (a refresh
-        // never opens a row), so the per-tick background accounting
-        // folds to one bulk add.
-        self.energy.idle_rank_cycles += self.ranks.len() as u64 * cycles;
-        let mut cursor = m0;
-        loop {
-            // Earliest tick any rank wants a refresh: its due time,
-            // deferred past a still-running refresh window.
-            let pending_at = |rank: &RankTimer| -> MemCycle {
-                rank.refresh_until().unwrap_or(0).max(rank.refresh_due())
-            };
-            let t = self
-                .ranks
-                .iter()
-                .map(pending_at)
-                .min()
-                .unwrap_or(MemCycle::MAX);
-            let now = t.max(cursor);
-            if now >= m_end {
-                break;
-            }
-            // The per-tick scan serves the first pending rank in index
-            // order.
-            let r = (0..self.ranks.len())
-                .find(|&r| pending_at(&self.ranks[r]) <= now)
-                .expect("a rank is pending at the candidate tick");
-            self.ranks[r].finish_refresh(now);
-            self.commands_issued += 1;
-            let done = self.ranks[r].start_refresh(now, &self.timing);
-            let base = r * self.geom.banks_per_rank as usize;
-            for b in base..base + self.geom.banks_per_rank as usize {
-                self.banks[b].refresh_until(done);
-            }
-            self.energy.refreshes += 1;
-            if let Some(a) = &mut self.auditor {
-                a.record(now, r as u32, 0, CommandKind::Refresh, 0, &self.timing);
-            }
-            cursor = now + 1;
-        }
-        self.horizon = None;
-    }
-
     /// Column commands issued so far (the queue-popping events).
     pub fn columns_issued(&self) -> u64 {
         self.columns_issued

@@ -136,15 +136,6 @@ impl DramStats {
     pub fn row_hit_ratio(&self) -> Ratio {
         self.read_row_hits + self.write_row_hits
     }
-
-    /// Mean read latency in memory cycles.
-    pub fn avg_read_latency(&self) -> f64 {
-        if self.reads_completed == 0 {
-            0.0
-        } else {
-            self.total_read_latency as f64 / self.reads_completed as f64
-        }
-    }
 }
 
 /// The processor-side memory controller: one scheduler per channel.
@@ -217,12 +208,6 @@ impl MemoryController {
         Ok(id)
     }
 
-    /// Whether the channel that owns `txn` can accept it right now.
-    pub fn can_accept(&self, txn: &Transaction) -> bool {
-        let coord = self.mapper.decode(txn.block);
-        self.channels[coord.channel as usize].has_room(txn.is_write)
-    }
-
     /// Promotes a queued speculative read of `block` to demand priority
     /// (called when a demand access merges into a prefetch MSHR).
     pub fn promote_to_demand(&mut self, block: bump_types::BlockAddr) -> bool {
@@ -273,25 +258,6 @@ impl MemoryController {
     pub fn skip_idle(&mut self, cycles: u64) {
         for ch in &mut self.channels {
             ch.skip_idle_cycles(cycles);
-        }
-    }
-
-    /// Whether every channel is in the refresh-only idle regime (no
-    /// queued or in-flight work, all banks precharged, no pre-span
-    /// timing constraint gating a refresh) so a long idle span can be
-    /// replayed in closed form by [`MemoryController::skip_refresh_idle`]
-    /// instead of re-entering the tick path once per refresh.
-    pub fn refresh_only_idle(&self) -> bool {
-        self.channels.iter().all(Channel::refresh_only_idle)
-    }
-
-    /// Replays memory ticks `[m0, m0 + cycles)` on every channel in
-    /// closed form: bulk background-energy accounting plus exact
-    /// replay of each refresh the span contains. Only legal when
-    /// [`MemoryController::refresh_only_idle`] holds at `m0`.
-    pub fn skip_refresh_idle(&mut self, m0: MemCycle, cycles: u64) {
-        for ch in &mut self.channels {
-            ch.skip_refresh_idle(m0, cycles);
         }
     }
 

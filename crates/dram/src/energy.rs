@@ -92,11 +92,6 @@ impl DramEnergyBreakdown {
         self.burst_nj + self.io_nj
     }
 
-    /// Total energy including background, nanojoules.
-    pub fn total_nj(&self) -> f64 {
-        self.dynamic_nj() + self.background_nj
-    }
-
     /// Dynamic energy per access in nanojoules — the paper's
     /// "memory energy per access" metric (Figure 9 plots activation vs
     /// burst/IO; background is excluded there and shown in Figure 1).

@@ -7,11 +7,14 @@
 //! 2. Fast-forwarding an idle window — `skip_idle` over the cycles
 //!    `next_event_at` proved null — leaves the controller (banks,
 //!    queues, timers, energy counters) in *exactly* the state that many
-//!    sequential ticks produce, and those ticks complete nothing.
+//!    sequential ticks produce, and those ticks complete nothing. This
+//!    horizon-skip-then-tick path also carries every refresh inside a
+//!    long idle span, so the property ends each case with an idle tail
+//!    several refresh intervals long.
 //! 3. `tick_event` (the memoized-horizon fast path) produces the same
 //!    completion stream and final state as plain per-cycle ticking.
 
-use bump_dram::{DramConfig, MemoryController, RowPolicy, Transaction};
+use bump_dram::{Completion, DramConfig, MemoryController, RowPolicy, Transaction};
 use bump_types::{BlockAddr, Interleaving, MemCycle, TrafficClass};
 use proptest::prelude::*;
 
@@ -63,6 +66,39 @@ fn config(policy: RowPolicy, interleaving: Interleaving) -> DramConfig {
     cfg
 }
 
+/// Advances both controllers from `*now` to `target` the way the event
+/// engine does: wherever `ticked`'s horizon proves a window null,
+/// `ticked` ticks through it while `skipped` bulk-skips it; every other
+/// cycle both tick. A null window must complete nothing.
+fn advance_skipping(
+    ticked: &mut MemoryController,
+    skipped: &mut MemoryController,
+    now: &mut MemCycle,
+    target: MemCycle,
+    done_t: &mut Vec<Completion>,
+    done_s: &mut Vec<Completion>,
+) {
+    while *now < target {
+        let horizon = ticked.next_event_at(*now);
+        if horizon > *now + 1 {
+            // A provably null window: tick one controller through it,
+            // bulk-skip the other.
+            let end = horizon.min(target);
+            let before = done_t.len();
+            for t in *now..end {
+                ticked.tick(t, done_t);
+            }
+            assert_eq!(done_t.len(), before, "null window completed a transaction");
+            skipped.skip_idle(end - *now);
+            *now = end;
+        } else {
+            ticked.tick(*now, done_t);
+            skipped.tick(*now, done_s);
+            *now += 1;
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -100,8 +136,9 @@ proptest! {
     ) {
         let policy = if close { RowPolicy::Close } else { RowPolicy::Open };
         let il = if block_interleave { Interleaving::Block } else { Interleaving::Region };
-        let mut ticked = MemoryController::new(config(policy, il));
-        let mut skipped = MemoryController::new(config(policy, il));
+        let cfg = config(policy, il);
+        let mut ticked = MemoryController::new(cfg);
+        let mut skipped = MemoryController::new(cfg);
         let mut now: MemCycle = 0;
         let mut done_t = Vec::new();
         let mut done_s = Vec::new();
@@ -112,35 +149,27 @@ proptest! {
                 skipped.try_enqueue(t, now).is_ok()
             );
             let target = now + u64::from(s.gap);
-            while now < target {
-                let horizon = ticked.next_event_at(now);
-                if horizon > now + 1 {
-                    // A provably null window: tick one controller
-                    // through it, bulk-skip the other.
-                    let end = horizon.min(target);
-                    let before = done_t.len();
-                    for t in now..end {
-                        ticked.tick(t, &mut done_t);
-                    }
-                    prop_assert_eq!(
-                        done_t.len(),
-                        before,
-                        "null window completed a transaction"
-                    );
-                    skipped.skip_idle(end - now);
-                    now = end;
-                } else {
-                    ticked.tick(now, &mut done_t);
-                    skipped.tick(now, &mut done_s);
-                    now += 1;
-                }
-            }
+            advance_skipping(&mut ticked, &mut skipped, &mut now, target, &mut done_t, &mut done_s);
             prop_assert_eq!(
                 format!("{ticked:?}"),
                 format!("{skipped:?}"),
                 "controller state diverged after skip at cycle {}", now
             );
         }
+        // An idle tail of four refresh intervals: the queues drain, and
+        // every later refresh is reached through the horizon alone.
+        let refreshes_before = skipped.energy().refreshes;
+        let target = now + 4 * cfg.timing.t_refi;
+        advance_skipping(&mut ticked, &mut skipped, &mut now, target, &mut done_t, &mut done_s);
+        prop_assert_eq!(
+            format!("{ticked:?}"),
+            format!("{skipped:?}"),
+            "controller state diverged across the idle tail ending at cycle {}", now
+        );
+        prop_assert!(
+            skipped.energy().refreshes > refreshes_before,
+            "no refresh issued across the idle tail"
+        );
         // Completions delivered on ticked-only cycles inside null
         // windows would have tripped the assert above; the streams on
         // shared cycles must agree too.

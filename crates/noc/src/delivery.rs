@@ -1,35 +1,13 @@
-//! Two-level delivery queue + per-destination batching.
+//! The NOC delivery queue.
 //!
-//! The event engine's NOC delivery was a private two-level queue inside
-//! `bump_sim::System` (a heap of *distinct* cycles over pooled FIFO slot
-//! vectors). It lives here now, generic over the payload, so the
-//! batching layer can be property-tested against the unbatched path in
-//! isolation (`crates/noc/tests/`).
-//!
-//! Delivery semantics:
-//! - Arrival order within a cycle equals push order (the old per-event
-//!   `seq` order of a flat `BinaryHeap<(at, seq, T)>`).
-//! - Each payload carries a [`Route`]: `Ordered` payloads must be
-//!   handled strictly in slot order; `To(dest)` payloads address one
-//!   destination and may be handed off as one per-destination batch
-//!   after the slot drains, as long as each destination still sees its
-//!   own payloads in push order. [`Batcher`] implements that grouping.
+//! The event engine's NOC delivery is a two-level queue (a heap of
+//! *distinct* cycles over pooled FIFO slot vectors), generic over the
+//! payload. Arrival order within a cycle equals push order (the old
+//! per-event `seq` order of a flat `BinaryHeap<(at, seq, T)>`).
 
 use bump_types::Cycle;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// Where a queued payload is headed, which decides how it may be
-/// delivered (see module docs).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Route {
-    /// Shared-resource traffic (LLC requests, writebacks, retry wakes):
-    /// handled one at a time, in slot order.
-    Ordered,
-    /// Traffic addressed to a single destination (a core's fill
-    /// response): eligible for batched handoff.
-    To(u32),
-}
 
 /// The two-level NOC event queue. The heap orders only the *distinct*
 /// delivery cycles (a few hundred live at once, even when the
@@ -40,8 +18,8 @@ pub enum Route {
 #[derive(Debug)]
 pub struct DeliveryQueue<T> {
     times: BinaryHeap<Reverse<Cycle>>,
-    slots: bump_types::FxHashMap<Cycle, Vec<(Route, T)>>,
-    pool: Vec<Vec<(Route, T)>>,
+    slots: bump_types::FxHashMap<Cycle, Vec<T>>,
+    pool: Vec<Vec<T>>,
     /// Payloads currently queued (maintained so telemetry can gauge
     /// queue depth in O(1) instead of walking the slot map).
     queued: usize,
@@ -59,15 +37,15 @@ impl<T> Default for DeliveryQueue<T> {
 }
 
 impl<T> DeliveryQueue<T> {
-    /// Enqueues `what` for delivery at `at` along `route`.
-    pub fn push(&mut self, at: Cycle, route: Route, what: T) {
+    /// Enqueues `what` for delivery at `at`.
+    pub fn push(&mut self, at: Cycle, what: T) {
         use std::collections::hash_map::Entry;
         self.queued += 1;
         match self.slots.entry(at) {
-            Entry::Occupied(e) => e.into_mut().push((route, what)),
+            Entry::Occupied(e) => e.into_mut().push(what),
             Entry::Vacant(e) => {
                 let mut v = self.pool.pop().unwrap_or_default();
-                v.push((route, what));
+                v.push(what);
                 e.insert(v);
                 self.times.push(Reverse(at));
             }
@@ -100,7 +78,7 @@ impl<T> DeliveryQueue<T> {
     /// Removes and returns the slot due at or before `now`, if any.
     /// The caller drains it in order and hands it back via
     /// [`DeliveryQueue::recycle`].
-    pub fn take_due(&mut self, now: Cycle) -> Option<Vec<(Route, T)>> {
+    pub fn take_due(&mut self, now: Cycle) -> Option<Vec<T>> {
         if self.next_at()? > now {
             return None;
         }
@@ -113,61 +91,9 @@ impl<T> DeliveryQueue<T> {
     }
 
     /// Returns a drained slot vector to the pool.
-    pub fn recycle(&mut self, v: Vec<(Route, T)>) {
+    pub fn recycle(&mut self, v: Vec<T>) {
         debug_assert!(v.is_empty());
         self.pool.push(v);
-    }
-}
-
-/// Groups same-cycle `Route::To` payloads per destination, preserving
-/// each destination's push order, so the receiver gets one bulk handoff
-/// per cycle instead of one call per event. Lanes are reused across
-/// cycles; the steady state allocates nothing.
-#[derive(Debug, Default)]
-pub struct Batcher<T> {
-    lanes: Vec<Vec<T>>,
-    touched: Vec<u32>,
-}
-
-impl<T> Batcher<T> {
-    /// Creates an empty batcher.
-    pub fn new() -> Self {
-        Batcher {
-            lanes: Vec::new(),
-            touched: Vec::new(),
-        }
-    }
-
-    /// Appends `what` to `dest`'s batch.
-    pub fn add(&mut self, dest: u32, what: T) {
-        let d = dest as usize;
-        if d >= self.lanes.len() {
-            self.lanes.resize_with(d + 1, Vec::new);
-        }
-        if self.lanes[d].is_empty() {
-            self.touched.push(dest);
-        }
-        self.lanes[d].push(what);
-    }
-
-    /// True if no batch holds anything.
-    pub fn is_empty(&self) -> bool {
-        self.touched.is_empty()
-    }
-
-    /// Hands each non-empty batch to `deliver` (destinations in
-    /// first-touched order, payloads in push order) and clears the
-    /// batcher, keeping lane capacity.
-    pub fn drain(&mut self, mut deliver: impl FnMut(u32, &[T])) {
-        for k in 0..self.touched.len() {
-            let d = self.touched[k];
-            let lane = std::mem::take(&mut self.lanes[d as usize]);
-            deliver(d, &lane);
-            let mut lane = lane;
-            lane.clear();
-            self.lanes[d as usize] = lane;
-        }
-        self.touched.clear();
     }
 }
 
@@ -178,38 +104,21 @@ mod tests {
     #[test]
     fn slot_order_is_push_order() {
         let mut q = DeliveryQueue::default();
-        q.push(5, Route::Ordered, "a");
-        q.push(3, Route::To(1), "b");
-        q.push(5, Route::To(0), "c");
+        q.push(5, "a");
+        q.push(3, "b");
+        q.push(5, "c");
         assert_eq!(q.next_at(), Some(3));
         assert_eq!(q.slot_len(5), 2);
         assert_eq!(q.len(), 3);
         assert_eq!(q.take_due(2).map(|v| v.len()), None);
         let v = q.take_due(3).unwrap();
-        assert_eq!(v, vec![(Route::To(1), "b")]);
+        assert_eq!(v, vec!["b"]);
         assert_eq!(q.len(), 2);
         let mut v = v;
         v.clear();
         q.recycle(v);
         let v = q.take_due(9).unwrap();
-        assert_eq!(v, vec![(Route::Ordered, "a"), (Route::To(0), "c")]);
+        assert_eq!(v, vec!["a", "c"]);
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn batcher_groups_per_destination_in_push_order() {
-        let mut b = Batcher::new();
-        b.add(2, 10);
-        b.add(0, 20);
-        b.add(2, 30);
-        let mut got = Vec::new();
-        b.drain(|d, xs| got.push((d, xs.to_vec())));
-        assert_eq!(got, vec![(2, vec![10, 30]), (0, vec![20])]);
-        assert!(b.is_empty());
-        // Lanes are reusable after a drain.
-        b.add(0, 1);
-        let mut got = Vec::new();
-        b.drain(|d, xs| got.push((d, xs.to_vec())));
-        assert_eq!(got, vec![(0, vec![1])]);
     }
 }

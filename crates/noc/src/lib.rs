@@ -26,7 +26,7 @@
 
 mod delivery;
 
-pub use delivery::{Batcher, DeliveryQueue, Route};
+pub use delivery::DeliveryQueue;
 
 use bump_types::Cycle;
 

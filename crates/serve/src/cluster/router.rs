@@ -143,13 +143,8 @@ impl Router {
         }
     }
 
-    /// Serves forever on the event loop with default admission knobs
-    /// (returns only if the poller fails).
-    pub fn serve(self: &Arc<Self>, listener: TcpListener) -> std::io::Result<()> {
-        self.serve_with(listener, ServeConfig::default())
-    }
-
-    /// [`Router::serve`] with explicit admission/eviction knobs.
+    /// Serves forever on the event loop with explicit admission/eviction
+    /// knobs (returns only if the poller fails).
     pub fn serve_with(
         self: &Arc<Self>,
         listener: TcpListener,
@@ -158,7 +153,7 @@ impl Router {
         eventloop::serve(Arc::clone(self), listener, config)
     }
 
-    /// Spawns [`Router::serve`] on a background thread (test harness
+    /// Spawns [`Router::serve_with`] (default knobs) on a background thread (test harness
     /// convenience).
     pub fn spawn(self: &Arc<Self>, listener: TcpListener) -> std::thread::JoinHandle<()> {
         self.spawn_with(listener, ServeConfig::default())

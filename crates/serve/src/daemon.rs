@@ -75,13 +75,8 @@ impl Daemon {
         self.sched.threads()
     }
 
-    /// Serves forever on the event loop with default admission knobs
-    /// (returns only if the poller fails).
-    pub fn serve(self: &Arc<Self>, listener: TcpListener) -> std::io::Result<()> {
-        self.serve_with(listener, ServeConfig::default())
-    }
-
-    /// [`Daemon::serve`] with explicit admission/eviction knobs.
+    /// Serves forever on the event loop with explicit admission/eviction
+    /// knobs (returns only if the poller fails).
     pub fn serve_with(
         self: &Arc<Self>,
         listener: TcpListener,
@@ -90,7 +85,7 @@ impl Daemon {
         eventloop::serve(Arc::clone(self), listener, config)
     }
 
-    /// Spawns [`Daemon::serve`] on a background thread (test harness
+    /// Spawns [`Daemon::serve_with`] (default knobs) on a background thread (test harness
     /// convenience). The daemon keeps serving until the process exits.
     pub fn spawn(self: &Arc<Self>, listener: TcpListener) -> std::thread::JoinHandle<()> {
         self.spawn_with(listener, ServeConfig::default())

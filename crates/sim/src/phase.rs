@@ -63,8 +63,7 @@ fn raw_now() -> u64 {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Phase {
-    /// Draining due NOC messages and handing batched fill responses to
-    /// cores.
+    /// Draining due NOC messages, fill responses to cores included.
     NocDelivery = 0,
     /// Coalesced Full-region retry-storm rounds (event engine).
     StormReplay = 1,
@@ -188,11 +187,6 @@ impl PhaseProfiler {
         }
     }
 
-    /// Whether the profiler is accumulating.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Opens `phase`. Must be paired with an [`PhaseProfiler::exit`];
     /// nesting is allowed and accounted as self-time.
     #[inline]
@@ -300,7 +294,7 @@ mod tests {
         p.enter(Phase::CoreTick);
         p.exit();
         assert!(p.profile().is_none());
-        assert!(!p.is_enabled());
+        assert!(!p.enabled);
     }
 
     #[test]

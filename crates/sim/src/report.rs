@@ -157,12 +157,6 @@ impl SimReport {
         self.memory_energy.breakdown.dynamic_nj() / self.useful_accesses() as f64
     }
 
-    /// Dynamic memory energy per DRAM burst (not normalized for
-    /// overfetch) — the raw per-transfer cost.
-    pub fn energy_per_burst_nj(&self) -> f64 {
-        self.memory_energy.per_access_nj()
-    }
-
     /// The bulk-read class this preset used (BuMP vs Full-region).
     fn bulk_class(&self) -> TrafficClass {
         if self.preset == Preset::FullRegion {

@@ -13,11 +13,11 @@ use crate::profiler::DensityProfiler;
 use crate::report::{SimReport, TrafficBreakdown};
 use crate::telemetry::{TelemetryPoint, TelemetrySampler};
 use bump::{BulkAction, Bump, FullRegion};
-use bump_cache::{AccessAction, EventSubscriptions, L1Cache, Llc, LlcEvent};
+use bump_cache::{AccessAction, L1Cache, Llc, LlcEvent};
 use bump_cpu::{CoreWakeup, LeanCore, PendingAccess};
 use bump_dram::{MemoryController, Transaction};
 use bump_energy::{EnergyModel, SystemActivity};
-use bump_noc::{Batcher, DeliveryQueue, MessageKind, Noc, Route};
+use bump_noc::{DeliveryQueue, MessageKind, Noc};
 use bump_prefetch::{Prefetcher, SmsPrefetcher, StridePrefetcher};
 use bump_types::{
     AccessKind, BlockAddr, CoreId, Cycle, FxHashSet, MemCycle, MemoryRequest, TrafficClass,
@@ -184,13 +184,6 @@ impl CoreBank {
             self.invalidate(i);
         }
     }
-
-    /// Delivers a same-cycle batch of memory responses to core `i`.
-    fn respond_many(&mut self, i: usize, blocks: &[BlockAddr], now: Cycle) {
-        if self.cores[i].memory_response_many(blocks, now) {
-            self.invalidate(i);
-        }
-    }
 }
 
 /// One parked Full-region retry batch: requests refused by a full
@@ -330,9 +323,6 @@ pub struct System {
 
     now: Cycle,
     events: DeliveryQueue<Pending>,
-    /// Per-core grouping of same-cycle fill responses (event engine):
-    /// each destination gets one bulk handoff per delivery slot.
-    resp_batch: Batcher<BlockAddr>,
     /// Parked Full-region retry batches (event engine).
     storm: StormState,
     /// Scratch for the storm expansion's just-allocated block set.
@@ -415,23 +405,9 @@ impl System {
         let vwq = cfg.preset.has_vwq().then(VirtualWriteQueue::paper);
         let bump_engine = (cfg.preset == Preset::Bump).then(|| Bump::new(cfg.bump));
         let full = (cfg.preset == Preset::FullRegion).then(|| FullRegion::new(cfg.bump.region));
-        let mut llc = Llc::new(cfg.llc);
-        // Declare what the event pump actually reads: the density
-        // profiler consumes demand accesses, L1 writebacks, and
-        // evictions unconditionally, but no monitor in any preset
-        // consumes speculative Access events or Fill events
-        // (`process_llc_events` skips the former and has an empty arm
-        // for the latter), so the LLC never has to materialize them.
-        llc.set_event_subscriptions(EventSubscriptions {
-            demand_access: true,
-            spec_access: false,
-            writeback_in: true,
-            fill: false,
-            evict: true,
-        });
         let mut sys = System {
             bank: CoreBank::new(cores, l1s, gens),
-            llc,
+            llc: Llc::new(cfg.llc),
             noc: Noc::new(cfg.noc_latency),
             mc: MemoryController::new(cfg.dram),
             stride,
@@ -443,7 +419,6 @@ impl System {
             phase: PhaseProfiler::default(),
             now: 0,
             events: DeliveryQueue::default(),
-            resp_batch: Batcher::new(),
             storm: StormState::default(),
             storm_allocs: FxHashSet::default(),
             storm_requests_scratch: Vec::new(),
@@ -508,11 +483,6 @@ impl System {
         self.phase.enable();
     }
 
-    /// Whether the engine phase profiler is on.
-    pub fn phase_profiling_enabled(&self) -> bool {
-        self.phase.is_enabled()
-    }
-
     /// Switches the sim-time telemetry sampler on: every `stride`
     /// measured cycles (positive) the system snapshots its
     /// architectural gauges, and the final report's `telemetry` field
@@ -527,11 +497,6 @@ impl System {
         self.telemetry = Some(Box::new(TelemetrySampler::new(stride, channels, cores)));
         self.telemetry_rebase();
         self.telemetry_capture();
-    }
-
-    /// Whether the telemetry sampler is on.
-    pub fn telemetry_enabled(&self) -> bool {
-        self.telemetry.is_some()
     }
 
     /// Re-anchors the cumulative-counter base for counters that survive
@@ -605,11 +570,7 @@ impl System {
     }
 
     fn schedule(&mut self, at: Cycle, what: Pending) {
-        let route = match &what {
-            Pending::CoreResponse { core, .. } => Route::To(*core as u32),
-            _ => Route::Ordered,
-        };
-        self.events.push(at.max(self.now + 1), route, what);
+        self.events.push(at.max(self.now + 1), what);
     }
 
     /// Queues a DRAM transaction, recording the traffic taxonomy.
@@ -1012,28 +973,6 @@ impl System {
         // keep their capacity across cycles (no per-cycle allocation).
         let mut events = std::mem::take(&mut self.scratch_events);
         self.llc.drain_events_into(&mut events);
-        // Base presets run no prefetch/streaming mechanism at all: the
-        // whole drain feeds only the density profiler, under a single
-        // Bookkeeping lap rather than one lap + dispatch per event.
-        if self.stride.is_none()
-            && self.sms.is_none()
-            && self.bump.is_none()
-            && self.full.is_none()
-            && self.vwq.is_none()
-        {
-            self.phase.enter(Phase::Bookkeeping);
-            for ev in events.drain(..) {
-                match ev {
-                    LlcEvent::Access { req, hit } => self.profiler.on_access(&req, hit),
-                    LlcEvent::WritebackIn { block } => self.profiler.on_writeback_in(block),
-                    LlcEvent::Evict { block, .. } => self.profiler.on_eviction(block),
-                    LlcEvent::Fill { .. } => {}
-                }
-            }
-            self.phase.exit();
-            self.scratch_events = events;
-            return;
-        }
         self.scratch_actions.clear();
         let mut actions = std::mem::take(&mut self.scratch_actions);
         for ev in events.drain(..) {
@@ -1042,9 +981,6 @@ impl System {
                     self.phase.enter(Phase::Bookkeeping);
                     self.profiler.on_access(&req, hit);
                     self.phase.exit();
-                    if req.class != TrafficClass::Demand {
-                        continue;
-                    }
                     self.scratch_candidates.clear();
                     let mut cands = std::mem::take(&mut self.scratch_candidates);
                     if let Some(p) = self.stride.as_mut() {
@@ -1105,7 +1041,6 @@ impl System {
                         }
                     }
                 }
-                LlcEvent::Fill { .. } => {}
             }
         }
         let bulk_class = if self.full.is_some() {
@@ -1160,23 +1095,15 @@ impl System {
     /// Advances the system by one CPU cycle.
     pub fn step(&mut self) {
         self.measured_cycles += 1;
-        let event_engine = self.cfg.engine == Engine::Event;
-        // 1. Deliver due NOC messages. The event engine batches each
-        // slot's fill responses per destination core (they only touch
-        // that core's state, so deferring them past the slot's shared-
-        // resource traffic commutes); the oracle delivers one by one.
+        // 1. Deliver due NOC messages, one by one in slot order.
         self.phase.enter(Phase::NocDelivery);
         while let Some(mut due) = self.events.take_due(self.now) {
-            for (_route, what) in due.drain(..) {
+            for what in due.drain(..) {
                 match what {
                     Pending::LlcRequest(req) => self.handle_llc_request(req),
                     Pending::L1Writeback(b) => self.handle_l1_writeback(b),
                     Pending::CoreResponse { core, block } => {
-                        if event_engine {
-                            self.resp_batch.add(core as u32, block);
-                        } else {
-                            self.bank.respond_one(core, block, self.now);
-                        }
+                        self.bank.respond_one(core, block, self.now);
                     }
                     Pending::StormRetry(id) => {
                         self.phase.enter(Phase::StormReplay);
@@ -1192,12 +1119,6 @@ impl System {
                 }
             }
             self.events.recycle(due);
-            if !self.resp_batch.is_empty() {
-                let now = self.now;
-                let mut batch = std::mem::take(&mut self.resp_batch);
-                batch.drain(|core, blocks| self.bank.respond_many(core as usize, blocks, now));
-                self.resp_batch = batch;
-            }
         }
         self.phase.exit();
         // 2. Cores.
@@ -1318,30 +1239,19 @@ impl System {
             if limit <= self.now {
                 break; // an event (or the core wakeup) is due next cycle
             }
-            // When the controller has fully drained — nothing queued or
-            // in flight, every bank precharged — the only remaining
-            // events in the span are periodic refreshes, and those
-            // replay in closed form: skip straight to `limit` instead
-            // of re-entering the tick path once per refresh.
-            if self.mc.refresh_only_idle() {
-                let n = limit - self.now;
-                self.skip_span(n, true, core_idle_cycles);
-                core_idle_cycles += n;
-                break; // the cycle at `limit` needs a full step
-            }
             // The CPU cycle whose tick_dram performs the next eventful
             // memory cycle; everything strictly before it is null.
             let mem_event = self.mc.next_event_at(self.mem_cycle);
             let dram_cycle = self.cpu_cycle_for_mem(mem_event);
             if dram_cycle >= limit {
                 let n = limit - self.now;
-                self.skip_span(n, false, core_idle_cycles);
+                self.skip_span(n, core_idle_cycles);
                 core_idle_cycles += n;
                 break; // the cycle at `limit` needs a full step
             }
             if dram_cycle > self.now {
                 let n = dram_cycle - self.now;
-                self.skip_span(n, false, core_idle_cycles);
+                self.skip_span(n, core_idle_cycles);
                 core_idle_cycles += n;
             }
             core_idle_cycles += 1;
@@ -1375,9 +1285,9 @@ impl System {
     /// oracle's per-cycle stepping would — `idle_before` (the span's
     /// idle cycles before this skip) keeps the integrated core-stall
     /// charge exact at each carve.
-    fn skip_span(&mut self, n: u64, refresh_only: bool, idle_before: u64) {
+    fn skip_span(&mut self, n: u64, idle_before: u64) {
         if self.telemetry.is_none() {
-            self.skip_cycles(n, refresh_only);
+            self.skip_cycles(n);
             return;
         }
         let mut done = 0;
@@ -1385,7 +1295,7 @@ impl System {
             // telemetry_next is finite and strictly ahead of
             // measured_cycles while telemetry is on, so k > 0.
             let k = (n - done).min(self.telemetry_next - self.measured_cycles);
-            self.skip_cycles(k, refresh_only);
+            self.skip_cycles(k);
             done += k;
             self.ff_idle = idle_before + done;
             if self.measured_cycles == self.telemetry_next {
@@ -1446,13 +1356,9 @@ impl System {
     /// the DRAM clock-domain accumulator and bulk-applies the per-rank
     /// background-energy accounting, leaving all architectural state
     /// untouched — exactly what `n` sequential [`System::step`]s would
-    /// have done. With `refresh_only` the memory controller is in its
-    /// refresh-only idle regime: the skipped memory ticks may contain
-    /// refresh commands, which it replays in closed form instead of
-    /// stepping them through `tick_dram`. The caller accounts the
-    /// cores' idle cycles (see [`System::fast_forward`]'s span-end
-    /// replay).
-    fn skip_cycles(&mut self, n: u64, refresh_only: bool) {
+    /// have done. The caller accounts the cores' idle cycles (see
+    /// [`System::fast_forward`]'s span-end replay).
+    fn skip_cycles(&mut self, n: u64) {
         self.measured_cycles += n;
         let ratio = self.cfg.dram.freq_ratio_milli;
         // The per-cycle loop adds 1000 then drains below `ratio`; n
@@ -1462,13 +1368,8 @@ impl System {
         let ticks = total / ratio;
         self.mem_clock_acc = total % ratio;
         if ticks > 0 {
-            let start = self.mem_cycle;
             self.mem_cycle += ticks;
-            if refresh_only {
-                self.mc.skip_refresh_idle(start, ticks);
-            } else {
-                self.mc.skip_idle(ticks);
-            }
+            self.mc.skip_idle(ticks);
         }
         self.now += n;
     }

@@ -88,7 +88,7 @@ fn workload_slice_emits_identical_series_across_engines() {
 #[test]
 fn fine_strides_land_samples_inside_null_spans() {
     // A small stride forces samples to land inside fast-forwarded
-    // quiet spans (skip_cycles / refresh-only skips), exercising the
+    // quiet spans (skip_cycles skips, refreshes included), exercising the
     // span-carving and the integrated stall charge; it also overflows
     // the point cap, exercising compaction in both engines.
     for stride in [64, 257] {
