@@ -1,6 +1,6 @@
 //! Times simulation cells under both engines and reports the
-//! event-engine speedup — the measurement behind the trajectory in
-//! `results/bench_trajectory/` and the docs/PERFORMANCE.md numbers.
+//! event-engine speedup and the cross-engine identity check (the
+//! measurement behind docs/PERFORMANCE.md's engine comparison).
 //!
 //! Usage:
 //!   cargo run --release --example engine_bench -- \
@@ -9,7 +9,9 @@
 //! Human mode times one cell (default: quick scale, Base-open, Web
 //! Search) and prints the speedup. `paper` runs the 16-core, 4MB-LLC
 //! configuration of the evaluation (§V.A) — the scale the `--full`
-//! reproduction suite sweeps.
+//! reproduction suite sweeps. Any other argument, or a `--scenario`
+//! without a valid name, exits with status 2 and lists the presets and
+//! workloads.
 //!
 //! `--json` emits a machine-readable report on stdout (progress goes to
 //! stderr) for CI's bench job: per-cell wall time under both engines,
@@ -67,23 +69,49 @@ fn scenario_label(s: &Scenario) -> String {
     }
 }
 
+/// Prints `msg` with the accepted arguments and exits with status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!(
+        "engine_bench: {msg}\n\
+         usage: engine_bench [paper|quick] [PRESET] [WORKLOAD] [--scenario NAME] [--json]\n\
+         presets: {}\n\
+         workloads: {}",
+        Preset::all().map(|p| p.name()).join(", "),
+        Workload::all().map(|w| w.name()).join(", "),
+    );
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let paper = args.iter().any(|a| a == "paper");
-    let json = args.iter().any(|a| a == "--json");
-    let preset = args
-        .iter()
-        .find_map(|a| Preset::all().into_iter().find(|p| p.name() == a));
-    let workload = args
-        .iter()
-        .find_map(|a| Workload::all().into_iter().find(|w| w.name() == a))
-        .unwrap_or(Workload::WebSearch);
-    let scenario = args
-        .iter()
-        .position(|a| a == "--scenario")
-        .and_then(|i| args.get(i + 1))
-        .map(|name| Scenario::from_name(name).expect("valid scenario name"))
-        .unwrap_or_default();
+    let mut paper = false;
+    let mut json = false;
+    let mut preset = None;
+    let mut workload = None;
+    let mut scenario = Scenario::default();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "paper" => paper = true,
+            "quick" => {}
+            "--json" => json = true,
+            "--scenario" => {
+                let name = args
+                    .next()
+                    .unwrap_or_else(|| usage_error("--scenario needs a NAME"));
+                scenario = Scenario::from_name(&name).unwrap_or_else(|e| usage_error(&e));
+            }
+            a => {
+                if let Some(p) = Preset::all().into_iter().find(|p| p.name() == a) {
+                    preset.get_or_insert(p);
+                } else if let Some(w) = Workload::all().into_iter().find(|w| w.name() == a) {
+                    workload.get_or_insert(w);
+                } else {
+                    usage_error(&format!("unknown argument '{a}'"));
+                }
+            }
+        }
+    }
+    let workload = workload.unwrap_or(Workload::WebSearch);
     let base = if paper {
         RunOptions::paper()
     } else {

@@ -2,40 +2,24 @@
 //!
 //! Implements exactly the `criterion` API surface the benches in
 //! `crates/bench/benches/` use — [`black_box`], [`Criterion`],
-//! `benchmark_group`/`bench_function`/`sample_size`/`throughput`/
-//! `finish`, and the [`criterion_group!`]/[`criterion_main!`] macros
-//! (both the list and the `name/config/targets` forms) — on top of a
-//! simple measurement loop: a wall-clock warmup sizes a per-sample
-//! batch, then N samples are timed and reported as min/median/mean per
-//! iteration. A group [`Throughput`] declaration additionally reports
-//! the sustained rate (bytes/sec or elements/sec) at the median.
+//! `benchmark_group`/`bench_function`/`sample_size`/`finish`, and the
+//! [`criterion_group!`]/[`criterion_main!`] macros (both the list and
+//! the `name/config/targets` forms) — on top of a simple measurement
+//! loop: a wall-clock warmup sizes a per-sample batch, then N samples
+//! are timed and reported as min/median/mean per iteration.
 //!
 //! Like the real crate under `harness = false`, the binary only runs
 //! the full measurement when cargo passes `--bench` (what `cargo
 //! bench` does); otherwise — e.g. under `cargo test`, which builds and
 //! runs bench targets in test mode — every benchmark executes exactly
 //! once as a smoke check. A positional argument filters benchmarks by
-//! substring, as with the real crate.
+//! substring, as with the real crate. Any other flag is rejected with
+//! exit status 2, so a mistyped or retired flag cannot turn into a
+//! filter that silently matches nothing.
 
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
-
-/// Set when a `--baseline` comparison finds a regression (or cannot
-/// run at all); [`criterion_main!`] turns it into a non-zero exit.
-static REGRESSED: AtomicBool = AtomicBool::new(false);
-
-/// True if any group's baseline comparison failed. Checked by the
-/// [`criterion_main!`]-generated `main` after all groups have run.
-pub fn regression_detected() -> bool {
-    REGRESSED.load(Ordering::SeqCst)
-}
-
-fn flag_regression() {
-    REGRESSED.store(true, Ordering::SeqCst);
-}
 
 /// Target wall-clock spent warming each benchmark.
 const WARMUP: Duration = Duration::from_millis(100);
@@ -50,18 +34,6 @@ pub struct Criterion {
     measure: bool,
     /// Substring filter over `group/function` ids.
     filter: Option<String>,
-    /// `--save-baseline <name>`: merge this run's medians into the
-    /// named baseline file after the group finishes.
-    save_baseline: Option<String>,
-    /// `--baseline <name>`: compare this run's medians against the
-    /// named baseline and fail the process on regression.
-    compare_baseline: Option<String>,
-    /// `--bench-threshold <pct>`: slowdown tolerated before a
-    /// comparison counts as a regression (percent over baseline).
-    threshold_pct: f64,
-    /// Measured `(id, median_ns)` pairs, collected for the baseline
-    /// machinery.
-    results: Vec<(String, f64)>,
 }
 
 impl Default for Criterion {
@@ -70,10 +42,6 @@ impl Default for Criterion {
             sample_size: 30,
             measure: false,
             filter: None,
-            save_baseline: None,
-            compare_baseline: None,
-            threshold_pct: 15.0,
-            results: Vec::new(),
         }
     }
 }
@@ -86,76 +54,33 @@ impl Criterion {
         self
     }
 
-    /// Applies the process arguments (`--bench` enables measurement; a
-    /// positional argument filters benchmark ids; `--save-baseline` /
-    /// `--baseline` / `--bench-threshold` drive the regression gate).
+    /// Applies the process arguments (`--bench`/`--measure` enable
+    /// measurement, `--test` disables it; a positional argument filters
+    /// benchmark ids) and exits with status 2 on any other flag.
     /// Called by [`criterion_group!`]-generated code.
-    pub fn configure_from_args(mut self) -> Self {
+    pub fn configure_from_args(self) -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut filter = None;
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--bench" | "--measure" => self.measure = true,
-                "--test" => self.measure = false,
-                "--save-baseline" => {
-                    i += 1;
-                    self.save_baseline = args.get(i).cloned();
-                }
-                "--baseline" => {
-                    i += 1;
-                    self.compare_baseline = args.get(i).cloned();
-                }
-                "--bench-threshold" => {
-                    i += 1;
-                    if let Some(pct) = args.get(i).and_then(|s| s.parse::<f64>().ok()) {
-                        self.threshold_pct = pct;
-                    }
-                }
-                s if !s.starts_with('-') => filter = Some(s.to_string()),
-                _ => {}
-            }
-            i += 1;
-        }
-        self.filter = filter;
-        self
+        self.with_args(&args).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        })
     }
 
-    /// Runs the baseline save/compare requested on the command line
-    /// against the medians collected so far. Called by
-    /// [`criterion_group!`]-generated code after the group's targets;
-    /// a no-op outside measurement mode (test-mode medians are zeros)
-    /// and when neither baseline flag was given.
-    pub fn final_summary(&mut self) {
-        if !self.measure {
-            return;
-        }
-        let dir = baseline_dir();
-        if let Some(name) = self.compare_baseline.clone() {
-            match compare_baseline_at(&dir, &name, &self.results, self.threshold_pct) {
-                Ok(lines) => {
-                    let mut regressed = false;
-                    for line in &lines {
-                        println!("{line}");
-                        regressed |= line.contains("REGRESSION");
-                    }
-                    if regressed {
-                        flag_regression();
-                    }
+    fn with_args(mut self, args: &[String]) -> Result<Self, String> {
+        for arg in args {
+            match arg.as_str() {
+                "--bench" | "--measure" => self.measure = true,
+                "--test" => self.measure = false,
+                s if s.starts_with('-') => {
+                    return Err(format!(
+                        "unknown flag '{s}' (accepted: --bench, --measure, --test, \
+                         and one positional filter)"
+                    ))
                 }
-                Err(e) => {
-                    eprintln!("baseline '{name}': {e}");
-                    flag_regression();
-                }
+                s => self.filter = Some(s.to_string()),
             }
         }
-        if let Some(name) = self.save_baseline.clone() {
-            match save_baseline_to(&dir, &name, &self.results) {
-                Ok(path) => println!("baseline '{name}' saved to {}", path.display()),
-                Err(e) => eprintln!("baseline '{name}': save failed: {e}"),
-            }
-        }
-        self.results.clear();
+        Ok(self)
     }
 
     /// Opens a named benchmark group.
@@ -164,19 +89,8 @@ impl Criterion {
             criterion: self,
             name: name.into(),
             sample_size: None,
-            throughput: None,
         }
     }
-}
-
-/// The amount of work one benchmark iteration processes, for
-/// throughput reporting (mirrors the real crate's enum).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Throughput {
-    /// One iteration moves this many bytes.
-    Bytes(u64),
-    /// One iteration processes this many elements.
-    Elements(u64),
 }
 
 /// A named group of benchmarks sharing a sample-size override.
@@ -185,21 +99,12 @@ pub struct BenchmarkGroup<'a> {
     criterion: &'a mut Criterion,
     name: String,
     sample_size: Option<usize>,
-    throughput: Option<Throughput>,
 }
 
 impl BenchmarkGroup<'_> {
     /// Overrides the sample count for this group.
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         self.sample_size = Some(n.max(2));
-        self
-    }
-
-    /// Declares the per-iteration work of this group's benchmarks;
-    /// measured reports gain a `thrpt:` line (rate at the median, with
-    /// the min/mean-derived bounds).
-    pub fn throughput(&mut self, throughput: Throughput) -> &mut Self {
-        self.throughput = Some(throughput);
         self
     }
 
@@ -219,27 +124,14 @@ impl BenchmarkGroup<'_> {
         };
         f(&mut bencher);
         match bencher.report {
-            Some(r) if self.criterion.measure => {
-                self.criterion.results.push((id.clone(), r.median_ns));
-                println!(
-                    "{id}\n    time: [min {}  median {}  mean {}]  ({} samples x {} iters)",
-                    fmt_ns(r.min_ns),
-                    fmt_ns(r.median_ns),
-                    fmt_ns(r.mean_ns),
-                    r.samples,
-                    r.iters_per_sample,
-                );
-                if let Some(throughput) = self.throughput {
-                    // Fastest sample = peak rate, mean = sustained;
-                    // report the spread the way criterion orders it.
-                    println!(
-                        "    thrpt: [peak {}  median {}  mean {}]",
-                        fmt_rate(throughput, r.min_ns),
-                        fmt_rate(throughput, r.median_ns),
-                        fmt_rate(throughput, r.mean_ns),
-                    );
-                }
-            }
+            Some(r) if self.criterion.measure => println!(
+                "{id}\n    time: [min {}  median {}  mean {}]  ({} samples x {} iters)",
+                fmt_ns(r.min_ns),
+                fmt_ns(r.median_ns),
+                fmt_ns(r.mean_ns),
+                r.samples,
+                r.iters_per_sample,
+            ),
             Some(_) => println!("{id}: ok (test mode, 1 iteration)"),
             None => println!("{id}: no iter() call"),
         }
@@ -318,143 +210,6 @@ impl Bencher {
     }
 }
 
-/// Formats the rate implied by `throughput` work per `ns`-nanosecond
-/// iteration (`"—"` when the iteration time is degenerate).
-fn fmt_rate(throughput: Throughput, ns: f64) -> String {
-    // NaN and zero/negative timings alike have no meaningful rate.
-    if ns.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-        return "—".to_string();
-    }
-    match throughput {
-        Throughput::Bytes(bytes) => {
-            // Binary thresholds to match the binary units, so the
-            // printed value is always >= 1.0 in its own unit.
-            let per_sec = bytes as f64 / (ns * 1e-9);
-            if per_sec >= (1u64 << 30) as f64 {
-                format!("{:.3} GiB/s", per_sec / (1u64 << 30) as f64)
-            } else if per_sec >= (1u64 << 20) as f64 {
-                format!("{:.3} MiB/s", per_sec / (1u64 << 20) as f64)
-            } else {
-                format!("{per_sec:.1} B/s")
-            }
-        }
-        Throughput::Elements(n) => {
-            let per_sec = n as f64 / (ns * 1e-9);
-            if per_sec >= 1e6 {
-                format!("{:.3} Melem/s", per_sec / 1e6)
-            } else if per_sec >= 1e3 {
-                format!("{:.3} Kelem/s", per_sec / 1e3)
-            } else {
-                format!("{per_sec:.1} elem/s")
-            }
-        }
-    }
-}
-
-/// Directory holding baseline JSON files. Defaults to the workspace's
-/// `results/bench_baselines/`, anchored at this crate's source rather
-/// than the invocation directory (`cargo bench` runs each bench from
-/// its own package directory); override with `BENCH_BASELINE_DIR` for
-/// tests and CI scratch runs.
-fn baseline_dir() -> PathBuf {
-    std::env::var_os("BENCH_BASELINE_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| {
-            PathBuf::from(concat!(
-                env!("CARGO_MANIFEST_DIR"),
-                "/../../results/bench_baselines"
-            ))
-        })
-}
-
-/// Writes (or merges into) `dir/name.json`: a flat JSON object mapping
-/// benchmark id to median nanoseconds per iteration. Existing entries
-/// for ids not re-measured this run are kept, so a filtered run only
-/// refreshes the benchmarks it actually executed.
-fn save_baseline_to(dir: &Path, name: &str, results: &[(String, f64)]) -> std::io::Result<PathBuf> {
-    let path = dir.join(format!("{name}.json"));
-    let mut entries: Vec<(String, f64)> = std::fs::read_to_string(&path)
-        .ok()
-        .and_then(|text| parse_baseline(&text))
-        .unwrap_or_default();
-    for (id, median) in results {
-        match entries.iter_mut().find(|(k, _)| k == id) {
-            Some((_, v)) => *v = *median,
-            None => entries.push((id.clone(), *median)),
-        }
-    }
-    entries.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut out = String::from("{\n");
-    for (i, (id, median)) in entries.iter().enumerate() {
-        let comma = if i + 1 == entries.len() { "" } else { "," };
-        out.push_str(&format!("  \"{id}\": {median:.3}{comma}\n"));
-    }
-    out.push_str("}\n");
-    std::fs::create_dir_all(dir)?;
-    std::fs::write(&path, out)?;
-    Ok(path)
-}
-
-/// Parses the flat `{"id": median_ns, ...}` baseline shape written by
-/// [`save_baseline_to`]. Benchmark ids never contain quotes, commas,
-/// or colons, so a split-based scan is exact for this schema.
-fn parse_baseline(text: &str) -> Option<Vec<(String, f64)>> {
-    let inner = text.trim().strip_prefix('{')?.strip_suffix('}')?;
-    let mut out = Vec::new();
-    for part in inner.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
-        let (k, v) = part.split_once(':')?;
-        let k = k.trim().strip_prefix('"')?.strip_suffix('"')?;
-        out.push((k.to_string(), v.trim().parse().ok()?));
-    }
-    Some(out)
-}
-
-/// Compares `results` against `dir/name.json`. Returns one report line
-/// per measured benchmark; lines containing `REGRESSION` mark medians
-/// more than `threshold_pct` percent over their baseline. Errors when
-/// the baseline file is missing or unparsable (a requested comparison
-/// that cannot run must not pass silently).
-fn compare_baseline_at(
-    dir: &Path,
-    name: &str,
-    results: &[(String, f64)],
-    threshold_pct: f64,
-) -> Result<Vec<String>, String> {
-    let path = dir.join(format!("{name}.json"));
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let baseline =
-        parse_baseline(&text).ok_or_else(|| format!("cannot parse {}", path.display()))?;
-    let mut lines = Vec::new();
-    for (id, median) in results {
-        match baseline.iter().find(|(k, _)| k == id) {
-            Some((_, base)) if *base > 0.0 => {
-                let ratio = median / base;
-                let verdict = if ratio > 1.0 + threshold_pct / 100.0 {
-                    "REGRESSION"
-                } else if ratio < 1.0 - threshold_pct / 100.0 {
-                    "improved"
-                } else {
-                    "ok"
-                };
-                lines.push(format!(
-                    "{id}: {} vs baseline {} ({:+.1}%, threshold {threshold_pct:.0}%) {verdict}",
-                    fmt_ns(*median),
-                    fmt_ns(*base),
-                    (ratio - 1.0) * 100.0,
-                ));
-            }
-            Some(_) => lines.push(format!("{id}: baseline median is zero, skipped")),
-            None => lines.push(format!("{id}: no baseline entry (new benchmark)")),
-        }
-    }
-    Ok(lines)
-}
-
 fn fmt_ns(ns: f64) -> String {
     if ns >= 1e9 {
         format!("{:.3}s", ns / 1e9)
@@ -475,7 +230,6 @@ macro_rules! criterion_group {
         pub fn $name() {
             let mut criterion = $config.configure_from_args();
             $( $target(&mut criterion); )+
-            criterion.final_summary();
         }
     };
     ($name:ident, $($target:path),+ $(,)?) => {
@@ -487,17 +241,12 @@ macro_rules! criterion_group {
     };
 }
 
-/// Declares the bench binary's `main`, running each group in order and
-/// exiting non-zero if any group's `--baseline` comparison regressed.
+/// Declares the bench binary's `main`, running each group in order.
 #[macro_export]
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
             $( $group(); )+
-            if $crate::regression_detected() {
-                eprintln!("benchmark regression detected (see REGRESSION lines above)");
-                std::process::exit(1);
-            }
         }
     };
 }
@@ -508,9 +257,10 @@ mod tests {
 
     #[test]
     fn test_mode_runs_the_closure_once() {
-        let mut c = Criterion::default();
+        let mut c = Criterion::default().sample_size(5);
         let mut runs = 0u32;
         let mut g = c.benchmark_group("g");
+        g.sample_size(5);
         g.bench_function("f", |b| b.iter(|| runs += 1));
         g.finish();
         assert_eq!(runs, 1, "test mode is a single smoke iteration");
@@ -531,80 +281,21 @@ mod tests {
     }
 
     #[test]
-    fn throughput_rates_scale_with_work_and_time() {
-        // 1 GiB moved in 1 second.
-        let gib = Throughput::Bytes(1 << 30);
-        assert_eq!(fmt_rate(gib, 1e9), "1.000 GiB/s");
-        // Twice the time, half the rate; sub-GiB drops to MiB/s.
-        assert_eq!(fmt_rate(gib, 2e9), "512.000 MiB/s");
-        // 1000 elements in 1 ms = 1 Melem/s.
-        assert_eq!(fmt_rate(Throughput::Elements(1000), 1e6), "1.000 Melem/s");
-        assert_eq!(fmt_rate(Throughput::Elements(5), 1e6), "5.000 Kelem/s");
-        // Degenerate timings never divide by zero.
-        assert_eq!(fmt_rate(gib, 0.0), "—");
-        // The builder composes with sample_size and runs in test mode.
-        let mut c = Criterion::default();
-        let mut runs = 0u32;
-        let mut g = c.benchmark_group("g");
-        g.throughput(Throughput::Bytes(64)).sample_size(5);
-        g.bench_function("f", |b| b.iter(|| runs += 1));
-        g.finish();
-        assert_eq!(runs, 1);
-    }
-
-    #[test]
-    fn baseline_round_trips_and_merges() {
-        let dir = std::env::temp_dir().join("microbench_baseline_roundtrip");
-        let _ = std::fs::remove_dir_all(&dir);
-        let first = vec![("g/a".to_string(), 100.0), ("g/b".to_string(), 200.0)];
-        save_baseline_to(&dir, "main", &first).expect("save");
-        // A filtered re-save refreshes only the re-measured id.
-        let refresh = vec![("g/b".to_string(), 250.0)];
-        save_baseline_to(&dir, "main", &refresh).expect("merge");
-        let text = std::fs::read_to_string(dir.join("main.json")).expect("read");
-        let parsed = parse_baseline(&text).expect("parse");
-        assert_eq!(
-            parsed,
-            vec![("g/a".to_string(), 100.0), ("g/b".to_string(), 250.0)]
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn compare_flags_regressions_beyond_threshold() {
-        let dir = std::env::temp_dir().join("microbench_baseline_compare");
-        let _ = std::fs::remove_dir_all(&dir);
-        let base = vec![("g/a".to_string(), 100.0), ("g/b".to_string(), 100.0)];
-        save_baseline_to(&dir, "main", &base).expect("save");
-        let now = vec![
-            ("g/a".to_string(), 110.0), // +10%: within 15%
-            ("g/b".to_string(), 130.0), // +30%: regression
-            ("g/new".to_string(), 5.0), // no baseline entry
-        ];
-        let lines = compare_baseline_at(&dir, "main", &now, 15.0).expect("compare");
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].ends_with("ok"), "{}", lines[0]);
-        assert!(lines[1].contains("REGRESSION"), "{}", lines[1]);
-        assert!(lines[2].contains("no baseline entry"), "{}", lines[2]);
-        // A looser threshold lets the same slowdown pass.
-        let lines = compare_baseline_at(&dir, "main", &now, 40.0).expect("compare");
-        assert!(!lines[1].contains("REGRESSION"), "{}", lines[1]);
-        // A missing baseline is an error, not a silent pass.
-        assert!(compare_baseline_at(&dir, "absent", &now, 15.0).is_err());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn filter_skips_non_matching_benchmarks() {
-        let mut c = Criterion {
-            filter: Some("wanted".to_string()),
-            ..Criterion::default()
-        };
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let mut c = Criterion::default()
+            .with_args(&args(&["--test", "wanted"]))
+            .expect("a mode flag and a filter are accepted");
         let mut runs = 0u32;
         let mut g = c.benchmark_group("g");
         g.bench_function("other", |b| b.iter(|| runs += 1));
         g.bench_function("wanted_one", |b| b.iter(|| runs += 1));
         g.finish();
         assert_eq!(runs, 1, "only the matching benchmark runs");
+        // A flag the harness does not know is an error, never a filter.
+        let err = Criterion::default()
+            .with_args(&args(&["--bench", "--baseline", "ci"]))
+            .expect_err("unknown flag");
+        assert!(err.contains("--baseline"), "{err}");
     }
 }

@@ -6,8 +6,8 @@
 //! idleness shows up here as a diverging report.
 
 use bump_sim::{
-    config_for_scenario, run_experiment, run_experiment_with_config, Engine, Preset, RunOptions,
-    Scenario, SimReport,
+    config_for, config_for_scenario, run_experiment, run_experiment_with_config, Engine,
+    Instruments, Phase, Preset, RunOptions, Scenario, SimReport,
 };
 use bump_workloads::Workload;
 
@@ -134,4 +134,26 @@ fn event_engine_is_deterministic() {
     let a = run_experiment(Preset::Bump, Workload::WebSearch, opts(Engine::Event, 42));
     let b = run_experiment(Preset::Bump, Workload::WebSearch, opts(Engine::Event, 42));
     assert_eq!(format!("{a:?}"), format!("{b:?}"));
+}
+
+#[test]
+fn event_engine_work_counts_are_pinned() {
+    // The event engine's work on the suite's Full-region x Web Search
+    // cell, counted exactly by the phase profiler. These counts repeat
+    // bit for bit, so a change to any of them is deliberate engine work
+    // (ROADMAP E), never noise: update the numbers in the same change
+    // and give the reason in CHANGES.md.
+    let o = opts(Engine::Event, 42);
+    let mut cfg = config_for(Preset::FullRegion, Workload::WebSearch, o);
+    cfg.instruments = Instruments {
+        profile: true,
+        ..Instruments::default()
+    };
+    let report = run_experiment_with_config(cfg, o);
+    let phase = report.phase.expect("profiling was requested");
+    let calls = |p: Phase| phase.sample(p).calls;
+    assert_eq!(report.cycles, 325_847, "measured cycles");
+    assert_eq!(calls(Phase::CoreTick), 87_159, "full steps");
+    assert_eq!(calls(Phase::StormReplay), 51_372, "storm rounds");
+    assert_eq!(calls(Phase::FastForward), 87_158, "fast-forward calls");
 }
