@@ -757,6 +757,30 @@ impl MetricRow {
             ("extra_writeback_fraction", f(self.extra_writeback_fraction)),
         ])
     }
+
+    /// [`MetricRow::to_json`] of the row a [`MetricRow::to_csv`] line
+    /// states, rebuilt from the line alone: name columns stay text,
+    /// count columns become integers and the rest floats. The CSV's
+    /// 6-decimal text parses to exactly the value [`Json::fixed`] keeps,
+    /// so the object encodes byte-identically to `to_json`'s. `None`
+    /// unless the line has the [`MetricRow::CSV_HEADER`] columns with
+    /// numbers where numbers go.
+    pub fn csv_to_json(csv: &str) -> Option<Json> {
+        let mut cols = csv.split(',');
+        let mut fields = Vec::new();
+        for name in Self::CSV_HEADER.split(',') {
+            let text = cols.next()?;
+            let value = match name {
+                "label" | "preset" | "workload" => Json::from(text),
+                "cores" | "seed" | "cycles" | "instructions" | "dram_accesses" => {
+                    Json::from(text.parse::<u64>().ok()?)
+                }
+                _ => Json::from(text.parse::<f64>().ok()?),
+            };
+            fields.push((name, value));
+        }
+        cols.next().is_none().then(|| Json::obj(fields))
+    }
 }
 
 /// Extracts one numeric metric from a [`MetricRow`] (see

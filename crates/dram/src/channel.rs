@@ -15,6 +15,13 @@
 //! that drains when it fills past a high watermark (or opportunistically
 //! when no reads are pending), following the scheme of the Virtual Write
 //! Queue paper the baseline compares against.
+//!
+//! Each queue keeps a per-bank index ([`TxnQueue`]): how many entries
+//! target each bank, how many of those hit the bank's open row, and a
+//! bitmask of the banks with any entry. Every gate of the arbitration
+//! above depends only on a bank's state and whether it has a pending
+//! hit, so a cycle that issues nothing costs O(occupied banks); the
+//! queue itself is walked only to pick the transaction a command serves.
 
 use crate::audit::TimingAuditor;
 use crate::bank::{Bank, CommandKind, RankTimer};
@@ -56,14 +63,125 @@ pub enum RowPolicy {
     Close,
 }
 
+/// The most banks one channel may have: the per-bank index keeps its
+/// occupied banks in a `u64` mask.
+const MAX_BANKS: u32 = 64;
+
 #[derive(Clone, Debug)]
 struct Queued {
     id: TransactionId,
     txn: Transaction,
     coord: DramCoord,
+    /// Channel-local bank index of `coord` (see [`Channel::bank_index`]).
+    bank: usize,
     enqueued_at: MemCycle,
     caused_activation: bool,
     caused_conflict: bool,
+}
+
+/// One transaction queue (reads or writes) with its per-bank index.
+///
+/// Invariants, for every bank `b` of the channel:
+/// - `queued[b]` is the number of entries targeting `b`;
+/// - `hits[b]` is the number of those whose row is `b`'s open row
+///   (zero while `b` is precharged);
+/// - bit `b` of `occupied` is set iff `queued[b] > 0`.
+#[derive(Debug)]
+struct TxnQueue {
+    entries: VecDeque<Queued>,
+    queued: Vec<u32>,
+    hits: Vec<u32>,
+    occupied: u64,
+}
+
+impl TxnQueue {
+    fn new(banks: usize) -> Self {
+        TxnQueue {
+            entries: VecDeque::new(),
+            queued: vec![0; banks],
+            hits: vec![0; banks],
+            occupied: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Appends `q`; `hit` says whether its row is its bank's open row.
+    fn push(&mut self, q: Queued, hit: bool) {
+        self.queued[q.bank] += 1;
+        self.hits[q.bank] += u32::from(hit);
+        self.occupied |= 1 << q.bank;
+        self.entries.push_back(q);
+    }
+
+    /// Removes the entry at `pos`, which a column command is serving —
+    /// so it hits its bank's open row.
+    fn remove_hit(&mut self, pos: usize) -> Queued {
+        let q = self.entries.remove(pos).expect("queue position valid");
+        self.queued[q.bank] -= 1;
+        self.hits[q.bank] -= 1;
+        if self.queued[q.bank] == 0 {
+            self.occupied &= !(1 << q.bank);
+        }
+        q
+    }
+
+    /// Re-counts bank `bank`'s hits against its new open row (`None`
+    /// once it precharged).
+    fn set_open_row(&mut self, bank: usize, row: Option<u64>) {
+        self.hits[bank] = match row {
+            None => 0,
+            Some(row) => self
+                .entries
+                .iter()
+                .filter(|q| q.bank == bank && q.coord.row == row)
+                .count() as u32,
+        };
+    }
+
+    /// The oldest entry in one of the banks of `mask` that `pred`
+    /// accepts. With `demand_first`, the oldest demand entry wins over
+    /// older speculative (prefetch/bulk) ones, so streams cannot delay
+    /// the critical path.
+    fn oldest(
+        &self,
+        mask: u64,
+        demand_first: bool,
+        pred: impl Fn(&Queued) -> bool,
+    ) -> Option<usize> {
+        let mut any = None;
+        for (i, q) in self.entries.iter().enumerate() {
+            if mask & (1 << q.bank) != 0 && pred(q) {
+                if !demand_first || !q.txn.class.is_speculative() {
+                    return Some(i);
+                }
+                any.get_or_insert(i);
+            }
+        }
+        any
+    }
+}
+
+/// The banks set in `mask`, lowest first.
+fn banks_in(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let b = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            b
+        })
+    })
+}
+
+/// A command the FR-FCFS arbiter chose, naming the active-queue
+/// position of the transaction it serves.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Command {
+    Column(usize),
+    Activate(usize),
+    Precharge(usize),
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -86,8 +204,8 @@ pub struct Channel {
     read_capacity: usize,
     banks: Vec<Bank>,
     ranks: Vec<RankTimer>,
-    read_queue: VecDeque<Queued>,
-    write_queue: VecDeque<Queued>,
+    read_queue: TxnQueue,
+    write_queue: TxnQueue,
     in_flight: Vec<InFlight>,
     write_drain: bool,
     data_bus_free_at: MemCycle,
@@ -116,6 +234,11 @@ pub struct Channel {
 impl Channel {
     /// Creates a channel of `geom.ranks_per_channel` ranks. Refreshes
     /// are staggered across ranks starting from `refresh_phase`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the channel has more than 64 banks (the scheduler's
+    /// per-bank index keeps its occupied banks in a `u64` mask).
     pub fn new(
         geom: DramGeometry,
         timing: DramTiming,
@@ -125,6 +248,12 @@ impl Channel {
         refresh_phase: MemCycle,
         audit: bool,
     ) -> Self {
+        let bank_count = geom.ranks_per_channel * geom.banks_per_rank;
+        assert!(
+            bank_count <= MAX_BANKS,
+            "{bank_count} banks per channel; the scheduler supports at most {MAX_BANKS}"
+        );
+        let bank_count = bank_count as usize;
         let ranks = (0..geom.ranks_per_channel)
             .map(|r| {
                 RankTimer::new(
@@ -139,10 +268,10 @@ impl Channel {
             geom,
             wq_config,
             read_capacity,
-            banks: vec![Bank::new(); (geom.ranks_per_channel * geom.banks_per_rank) as usize],
+            banks: vec![Bank::new(); bank_count],
             ranks,
-            read_queue: VecDeque::new(),
-            write_queue: VecDeque::new(),
+            read_queue: TxnQueue::new(bank_count),
+            write_queue: TxnQueue::new(bank_count),
             in_flight: Vec::new(),
             write_drain: false,
             data_bus_free_at: 0,
@@ -158,6 +287,11 @@ impl Channel {
 
     fn bank_index(&self, coord: DramCoord) -> usize {
         (coord.rank * self.geom.banks_per_rank + coord.bank) as usize
+    }
+
+    /// The rank holding channel-local bank `bank`.
+    fn rank_of(&self, bank: usize) -> &RankTimer {
+        &self.ranks[bank / self.geom.banks_per_rank as usize]
     }
 
     /// Whether the queue for `is_write` traffic has room.
@@ -201,6 +335,7 @@ impl Channel {
         self.horizon = None;
         if let Some(q) = self
             .read_queue
+            .entries
             .iter_mut()
             .find(|q| q.txn.block == block && q.txn.class.is_speculative())
         {
@@ -228,6 +363,7 @@ impl Channel {
         if txn.is_write {
             if let Some(q) = self
                 .write_queue
+                .entries
                 .iter_mut()
                 .find(|q| q.txn.block == txn.block)
             {
@@ -238,19 +374,16 @@ impl Channel {
             if self.write_queue.len() >= self.wq_config.capacity {
                 return false;
             }
-            self.write_queue.push_back(Queued {
-                id,
-                txn,
-                coord,
-                enqueued_at: now,
-                caused_activation: false,
-                caused_conflict: false,
-            });
         } else {
             if self.read_queue.len() >= self.read_capacity {
                 return false;
             }
-            if self.write_queue.iter().any(|q| q.txn.block == txn.block) {
+            if self
+                .write_queue
+                .entries
+                .iter()
+                .any(|q| q.txn.block == txn.block)
+            {
                 // Forward from the write queue: complete without DRAM.
                 self.in_flight.push(InFlight {
                     id,
@@ -262,15 +395,26 @@ impl Channel {
                 });
                 return true;
             }
-            self.read_queue.push_back(Queued {
+        }
+        let bank = self.bank_index(coord);
+        let hit = self.banks[bank].open_row() == Some(coord.row);
+        let queue = if txn.is_write {
+            &mut self.write_queue
+        } else {
+            &mut self.read_queue
+        };
+        queue.push(
+            Queued {
                 id,
                 txn,
                 coord,
+                bank,
                 enqueued_at: now,
                 caused_activation: false,
                 caused_conflict: false,
-            });
-        }
+            },
+            hit,
+        );
         true
     }
 
@@ -283,7 +427,9 @@ impl Channel {
         if self.service_refresh(now) {
             return; // the command slot was spent on refresh management
         }
-        self.schedule(now);
+        if let Some(cmd) = self.pick(now) {
+            self.issue(cmd, now);
+        }
     }
 
     /// Event-driven tick: identical semantics to [`Channel::tick`], but
@@ -325,6 +471,12 @@ impl Channel {
     /// at `T` may — but need not — act. Returning a too-early horizon
     /// only costs a wasted tick; the event engine's equivalence to the
     /// cycle-accurate oracle does not depend on tightness.
+    ///
+    /// Costs O(in-flight + ranks + occupied banks): each occupied bank
+    /// of the active queue contributes one bound. With a pending hit it
+    /// is the column bound (its conflicting entries wait for a command
+    /// on that bank, an event in its own right); an open bank without
+    /// one can precharge; a closed bank can activate.
     pub fn next_event_at(&self, now: MemCycle) -> MemCycle {
         // A pending drain-mode flip mutates state on the very next tick.
         if self.drain_mode_would_flip() {
@@ -341,9 +493,25 @@ impl Channel {
             });
         }
         let is_write = self.write_drain;
-        let hit_banks = self.open_row_hit_banks();
-        for q in self.active_queue() {
-            t = t.min(self.earliest_possible_issue(q, is_write, hit_banks));
+        let queue = self.active_queue();
+        let bus_ready = self.data_bus_ready_at(is_write);
+        for b in banks_in(queue.occupied) {
+            let bank = &self.banks[b];
+            let rank = self.rank_of(b);
+            t = t.min(match bank.open_row() {
+                Some(_) if queue.hits[b] > 0 => {
+                    let col = bank.earliest_column().max(bus_ready);
+                    if is_write {
+                        col
+                    } else {
+                        col.max(rank.earliest_read_column())
+                    }
+                }
+                Some(_) => bank.earliest_precharge(),
+                None => bank
+                    .earliest_activate()
+                    .max(rank.earliest_activate(&self.timing)),
+            });
         }
         t.max(now)
     }
@@ -359,33 +527,6 @@ impl Channel {
         }
     }
 
-    /// One pass over the active queue marking the banks whose open row
-    /// still has a pending hit — the rows the "first-ready" guarantee
-    /// forbids closing. Banks beyond the 64-bit mask (never the paper
-    /// geometry) fall back to [`Channel::pending_open_row_hit`].
-    fn open_row_hit_banks(&self) -> u64 {
-        let mut mask = 0u64;
-        for q in self.active_queue() {
-            let idx = self.bank_index(q.coord);
-            if idx < 64 && self.banks[idx].open_row() == Some(q.coord.row) {
-                mask |= 1 << idx;
-            }
-        }
-        mask
-    }
-
-    /// Whether any active-queue transaction still hits bank `idx`'s
-    /// open row, using the precomputed mask where it applies.
-    fn pending_open_row_hit(&self, idx: usize, mask: u64) -> bool {
-        if idx < 64 {
-            return mask & (1 << idx) != 0;
-        }
-        let open = self.banks[idx].open_row();
-        self.active_queue()
-            .iter()
-            .any(|o| self.bank_index(o.coord) == idx && Some(o.coord.row) == open)
-    }
-
     /// Whether the next tick's [`Channel::update_drain_mode`] would
     /// change the drain flag, given the current (frozen) queue lengths.
     fn drain_mode_would_flip(&self) -> bool {
@@ -393,54 +534,7 @@ impl Channel {
             self.write_queue.len() <= self.wq_config.drain_low
         } else {
             self.write_queue.len() >= self.wq_config.drain_high
-                || (self.read_queue.is_empty() && !self.write_queue.is_empty())
-        }
-    }
-
-    /// A lower bound on the cycle at which `q` could trigger any
-    /// command (column, ACT, or conflict PRE), assuming the channel
-    /// state stays frozen. Rank refresh windows are bounded separately
-    /// by the caller via the per-rank refresh thresholds.
-    fn earliest_possible_issue(
-        &self,
-        q: &Queued,
-        is_write: bool,
-        open_row_hit_banks: u64,
-    ) -> MemCycle {
-        let idx = self.bank_index(q.coord);
-        let bank = &self.banks[idx];
-        let rank = &self.ranks[q.coord.rank as usize];
-        match bank.open_row() {
-            Some(row) if row == q.coord.row => {
-                let mut t = bank.earliest_column();
-                if !is_write {
-                    t = t.max(rank.earliest_read_column());
-                }
-                let data_latency = if is_write {
-                    self.timing.cwl()
-                } else {
-                    self.timing.t_cas
-                };
-                let mut free = self.data_bus_free_at;
-                if self.last_burst_was_write != is_write {
-                    free += self.timing.turnaround();
-                }
-                t.max(free.saturating_sub(data_latency))
-            }
-            None => bank
-                .earliest_activate()
-                .max(rank.earliest_activate(&self.timing)),
-            Some(_) => {
-                // Conflict: a PRE can issue at earliest_pre, but never
-                // while a pending hit on the open row exists — that
-                // blocker only clears via another command (an event in
-                // its own right), so this transaction contributes none.
-                if self.pending_open_row_hit(idx, open_row_hit_banks) {
-                    MemCycle::MAX
-                } else {
-                    bank.earliest_precharge()
-                }
-            }
+                || (self.read_queue.entries.is_empty() && !self.write_queue.entries.is_empty())
         }
     }
 
@@ -512,14 +606,8 @@ impl Channel {
     }
 
     fn update_drain_mode(&mut self) {
-        if self.write_drain {
-            if self.write_queue.len() <= self.wq_config.drain_low {
-                self.write_drain = false;
-            }
-        } else if self.write_queue.len() >= self.wq_config.drain_high
-            || (self.read_queue.is_empty() && !self.write_queue.is_empty())
-        {
-            self.write_drain = true;
+        if self.drain_mode_would_flip() {
+            self.write_drain = !self.write_drain;
         }
     }
 
@@ -565,6 +653,7 @@ impl Channel {
         self.commands_issued += 1;
         self.banks[bank].precharge(now, &self.timing);
         self.ranks[rank].open_banks -= 1;
+        self.set_open_row(bank, None);
         if let Some(a) = &mut self.auditor {
             a.record(
                 now,
@@ -577,25 +666,78 @@ impl Channel {
         }
     }
 
-    /// FR-FCFS arbitration: issue at most one command.
-    fn schedule(&mut self, now: MemCycle) {
-        // 1. Oldest ready column command (row hit) in the active queue.
-        if let Some(pos) = self.find_ready_column(now) {
-            self.issue_column(pos, now);
-            return;
+    /// Keeps both queues' hit counts in step with bank `bank`'s new
+    /// open row.
+    fn set_open_row(&mut self, bank: usize, row: Option<u64>) {
+        self.read_queue.set_open_row(bank, row);
+        self.write_queue.set_open_row(bank, row);
+    }
+
+    /// FR-FCFS arbitration: the one command (if any) to issue at `now`.
+    ///
+    /// One pass over the active queue's occupied banks sorts each into
+    /// the gate its state allows: column (a pending hit whose bank, rank
+    /// and data bus are ready), ACT (precharged and activatable) or PRE
+    /// (open with no pending hit, and precharge-ready). Only then is the
+    /// queue walked, for the highest-priority non-empty gate.
+    fn pick(&self, now: MemCycle) -> Option<Command> {
+        let is_write = self.write_drain;
+        let queue = self.active_queue();
+        let bus_free = self.data_bus_ready_at(is_write) <= now;
+        let (mut column, mut activate, mut precharge) = (0u64, 0u64, 0u64);
+        for b in banks_in(queue.occupied) {
+            let bank = &self.banks[b];
+            let rank = self.rank_of(b);
+            match bank.open_row() {
+                Some(_) if queue.hits[b] > 0 => {
+                    let rank_ready = if is_write {
+                        rank.can_write_col(now)
+                    } else {
+                        rank.can_read_col(now)
+                    };
+                    if bus_free && now >= bank.earliest_column() && rank_ready {
+                        column |= 1 << b;
+                    }
+                }
+                Some(_) => {
+                    if bank.can_precharge(now) {
+                        precharge |= 1 << b;
+                    }
+                }
+                None => {
+                    if bank.can_activate(now) && rank.can_activate(now, &self.timing) {
+                        activate |= 1 << b;
+                    }
+                }
+            }
         }
-        // 2. Oldest ACT-able transaction.
-        if let Some(pos) = self.find_activatable(now) {
-            self.issue_activate(pos, now);
-            return;
-        }
-        // 3. Oldest conflicting transaction whose row can close.
-        if let Some(pos) = self.find_prechargeable(now) {
-            self.issue_conflict_precharge(pos, now);
+        if column != 0 {
+            let hits_open_row = |q: &Queued| self.banks[q.bank].open_row() == Some(q.coord.row);
+            queue
+                .oldest(column, true, hits_open_row)
+                .map(Command::Column)
+        } else if activate != 0 {
+            queue
+                .oldest(activate, true, |_| true)
+                .map(Command::Activate)
+        } else if precharge != 0 {
+            queue
+                .oldest(precharge, false, |_| true)
+                .map(Command::Precharge)
+        } else {
+            None
         }
     }
 
-    fn active_queue(&self) -> &VecDeque<Queued> {
+    fn issue(&mut self, cmd: Command, now: MemCycle) {
+        match cmd {
+            Command::Column(pos) => self.issue_column(pos, now),
+            Command::Activate(pos) => self.issue_activate(pos, now),
+            Command::Precharge(pos) => self.issue_conflict_precharge(pos, now),
+        }
+    }
+
+    fn active_queue(&self) -> &TxnQueue {
         if self.write_drain {
             &self.write_queue
         } else {
@@ -603,97 +745,41 @@ impl Channel {
         }
     }
 
-    /// Finds the oldest ready column command, preferring demand traffic
-    /// over speculative (prefetch/bulk) traffic so streams cannot delay
-    /// the critical path.
-    fn find_ready_column(&self, now: MemCycle) -> Option<usize> {
-        let is_write = self.write_drain;
-        if !self.data_bus_available(now, is_write) {
-            return None; // channel-wide gate: no column can issue
+    fn active_queue_mut(&mut self) -> &mut TxnQueue {
+        if self.write_drain {
+            &mut self.write_queue
+        } else {
+            &mut self.read_queue
         }
-        let ready = |q: &Queued| {
-            let bank = &self.banks[self.bank_index(q.coord)];
-            if !bank.can_column(now, q.coord.row) {
-                return false;
-            }
-            let rank = &self.ranks[q.coord.rank as usize];
-            if is_write {
-                rank.can_write_col(now)
-            } else {
-                rank.can_read_col(now)
-            }
+    }
+
+    /// The earliest cycle a column command of the given direction can
+    /// issue without its data burst overlapping the previous one (plus
+    /// the read/write turnaround when the direction changes).
+    fn data_bus_ready_at(&self, is_write: bool) -> MemCycle {
+        let data_latency = if is_write {
+            self.timing.cwl()
+        } else {
+            self.timing.t_cas
         };
-        self.first_with_demand_priority(ready)
-    }
-
-    /// The oldest active-queue transaction satisfying `pred`, giving
-    /// demand traffic priority over speculative (prefetch/bulk) traffic
-    /// so streams cannot delay the critical path — in one pass.
-    fn first_with_demand_priority(&self, pred: impl Fn(&Queued) -> bool) -> Option<usize> {
-        let mut any = None;
-        for (i, q) in self.active_queue().iter().enumerate() {
-            if pred(q) {
-                if !q.txn.class.is_speculative() {
-                    return Some(i);
-                }
-                if any.is_none() {
-                    any = Some(i);
-                }
-            }
-        }
-        any
-    }
-
-    fn data_bus_available(&self, now: MemCycle, is_write: bool) -> bool {
-        let data_start = now
-            + if is_write {
-                self.timing.cwl()
-            } else {
-                self.timing.t_cas
-            };
         let mut free_at = self.data_bus_free_at;
         if self.last_burst_was_write != is_write {
             free_at += self.timing.turnaround();
         }
-        data_start >= free_at
-    }
-
-    /// Finds the oldest transaction whose bank can activate, with the
-    /// same demand-over-speculative priority as column commands.
-    fn find_activatable(&self, now: MemCycle) -> Option<usize> {
-        let can = |q: &Queued| {
-            let bank = &self.banks[self.bank_index(q.coord)];
-            bank.can_activate(now)
-                && self.ranks[q.coord.rank as usize].can_activate(now, &self.timing)
-        };
-        self.first_with_demand_priority(can)
-    }
-
-    fn find_prechargeable(&self, now: MemCycle) -> Option<usize> {
-        let hit_banks = self.open_row_hit_banks();
-        self.active_queue().iter().position(|q| {
-            let idx = self.bank_index(q.coord);
-            let bank = &self.banks[idx];
-            match bank.open_row() {
-                Some(open) if open != q.coord.row => {
-                    !self.pending_open_row_hit(idx, hit_banks) && bank.can_precharge(now)
-                }
-                _ => false,
-            }
-        })
+        free_at.saturating_sub(data_latency)
     }
 
     fn issue_column(&mut self, pos: usize, now: MemCycle) {
         self.commands_issued += 1;
         self.columns_issued += 1;
         let is_write = self.write_drain;
-        let q = if is_write {
-            self.write_queue.remove(pos).expect("queue position valid")
-        } else {
-            self.read_queue.remove(pos).expect("queue position valid")
-        };
-        let bank_idx = self.bank_index(q.coord);
-        let auto = self.policy == RowPolicy::Close && !self.row_has_other_pending(q.coord, q.id);
+        let q = self.active_queue_mut().remove_hit(pos);
+        let bank_idx = q.bank;
+        // Every other queued transaction to this row is a pending hit on
+        // this bank, in one queue or the other.
+        let auto = self.policy == RowPolicy::Close
+            && self.read_queue.hits[bank_idx] == 0
+            && self.write_queue.hits[bank_idx] == 0;
         let was_open = self.banks[bank_idx].open_row().is_some();
         let data_end = if is_write {
             let end = self.banks[bank_idx].write(now, &self.timing, auto);
@@ -707,6 +793,7 @@ impl Channel {
         };
         if was_open && self.banks[bank_idx].open_row().is_none() {
             self.ranks[q.coord.rank as usize].open_banks -= 1;
+            self.set_open_row(bank_idx, None);
         }
         self.data_bus_free_at = data_end;
         self.last_burst_was_write = is_write;
@@ -739,29 +826,18 @@ impl Channel {
         });
     }
 
-    /// Whether any other queued transaction (either queue) targets the
-    /// same bank and row.
-    fn row_has_other_pending(&self, coord: DramCoord, id: TransactionId) -> bool {
-        let same = |q: &Queued| {
-            q.id != id
-                && q.coord.rank == coord.rank
-                && q.coord.bank == coord.bank
-                && q.coord.row == coord.row
-        };
-        self.read_queue.iter().any(same) || self.write_queue.iter().any(same)
-    }
-
     fn issue_activate(&mut self, pos: usize, now: MemCycle) {
         self.commands_issued += 1;
-        let (coord, row) = {
-            let q = &self.active_queue()[pos];
-            (q.coord, q.coord.row)
+        let (coord, bank_idx) = {
+            let q = &self.active_queue().entries[pos];
+            (q.coord, q.bank)
         };
-        let bank_idx = self.bank_index(coord);
+        let row = coord.row;
         self.banks[bank_idx].activate(now, row, &self.timing);
         self.ranks[coord.rank as usize].record_activate(now, &self.timing);
         self.ranks[coord.rank as usize].open_banks += 1;
         self.energy.activations += 1;
+        self.set_open_row(bank_idx, Some(row));
         if let Some(a) = &mut self.auditor {
             a.record(
                 now,
@@ -774,26 +850,21 @@ impl Channel {
         }
         // The transaction that triggered the ACT pays the row miss; every
         // other queued transaction to the same row will be a hit.
-        let queue = if self.write_drain {
-            &mut self.write_queue
-        } else {
-            &mut self.read_queue
-        };
-        queue[pos].caused_activation = true;
+        self.active_queue_mut().entries[pos].caused_activation = true;
     }
 
     fn issue_conflict_precharge(&mut self, pos: usize, now: MemCycle) {
-        let coord = self.active_queue()[pos].coord;
-        let bank_idx = self.bank_index(coord);
-        self.issue_precharge(coord.rank as usize, bank_idx, now);
-        let queue = if self.write_drain {
-            &mut self.write_queue
-        } else {
-            &mut self.read_queue
+        let (rank, bank_idx) = {
+            let q = &self.active_queue().entries[pos];
+            (q.coord.rank as usize, q.bank)
         };
-        queue[pos].caused_conflict = true;
+        self.issue_precharge(rank, bank_idx, now);
+        self.active_queue_mut().entries[pos].caused_conflict = true;
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -1050,6 +1121,19 @@ mod tests {
             ch.auditor().unwrap().errors()
         );
         assert!(done.len() > 100, "mix must make progress");
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64")]
+    fn more_than_64_banks_per_channel_is_rejected() {
+        let geom = DramGeometry {
+            ranks_per_channel: 8,
+            banks_per_rank: 16,
+            ..DramGeometry::paper()
+        };
+        let timing = bump_types::MemSpec::ddr3_1600().timing;
+        let wq = WriteQueueConfig::default();
+        Channel::new(geom, timing, RowPolicy::Open, wq, 64, 0, false);
     }
 
     #[test]

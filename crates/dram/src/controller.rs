@@ -505,4 +505,30 @@ mod tests {
             assert!(done.len() > 1000);
         }
     }
+
+    /// Every platform preset fits the scheduler's 64-bank-per-channel
+    /// index, from LPDDR4's 8 banks up to DDR4's 64, and serves
+    /// scattered reads legally.
+    #[test]
+    fn every_mem_spec_preset_builds_a_working_controller() {
+        let banks_per_channel =
+            |spec: &MemSpec| spec.geometry.ranks_per_channel * spec.geometry.banks_per_rank;
+        let expected = [("ddr3_1600", 32), ("ddr4_2400", 64), ("lpddr4_3200", 8)];
+        let specs = MemSpec::all();
+        assert_eq!(specs.len(), expected.len(), "a new preset needs a row here");
+        for (spec, (name, banks)) in specs.iter().zip(expected) {
+            assert_eq!((spec.name, banks_per_channel(spec)), (name, banks));
+            for mut cfg in [DramConfig::close_row(spec), DramConfig::open_row(spec)] {
+                cfg.audit = true;
+                let mut mc = MemoryController::new(cfg);
+                // Strided blocks spread over many banks and rows.
+                for i in 0..48u64 {
+                    mc.try_enqueue(read(i * 4099), 0).unwrap();
+                }
+                let done = run(&mut mc, 0, 20_000);
+                assert_eq!(done.len(), 48, "{name} {:?}", cfg.policy);
+                assert_eq!(mc.audit_errors(), 0, "{name} {:?}", cfg.policy);
+            }
+        }
+    }
 }

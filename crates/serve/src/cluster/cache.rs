@@ -118,14 +118,12 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::Json;
 
     fn entry(label: &str) -> JournalEntry {
         JournalEntry {
             identity: format!("{label}|opts"),
             label: label.to_string(),
             csv: format!("{label},1,2"),
-            row: Json::obj(vec![("label", Json::from(label))]),
         }
     }
 

@@ -286,7 +286,6 @@ impl Router {
                     label: entry.label,
                     cached: true,
                     csv: entry.csv,
-                    row: entry.row,
                 },
             );
         }
@@ -480,7 +479,6 @@ impl Router {
                             identity: identities[global].clone(),
                             label: cell.label.clone(),
                             csv: cell.csv.clone(),
-                            row: cell.row.clone(),
                         },
                     );
                     emitter.insert(
@@ -491,7 +489,6 @@ impl Router {
                             label: cell.label,
                             cached: cell.cached,
                             csv: cell.csv,
-                            row: cell.row,
                         },
                     );
                 }
@@ -1188,7 +1185,6 @@ mod tests {
             label: format!("c{i}"),
             cached: false,
             csv: format!("c{i},row"),
-            row: crate::json::Json::obj(vec![]),
         };
         emitter.insert(2, cell(2));
         emitter.insert(1, cell(1));

@@ -187,7 +187,6 @@ impl Daemon {
                     label: entry.label,
                     cached: true,
                     csv: entry.csv,
-                    row: entry.row,
                 }),
             );
         }
@@ -223,9 +222,7 @@ impl Daemon {
                     // simulation returns, so "now" is the execution
                     // end; the timing durations walk it backwards.
                     let exec_end = now_us();
-                    let row = MetricRow::of(spec, report);
-                    let csv = row.to_csv();
-                    let row_json = row.to_json();
+                    let csv = MetricRow::of(spec, report).to_csv();
                     daemon.cells_executed.fetch_add(1, Ordering::Relaxed);
                     let append_start = now_us();
                     lock_recover(&daemon.journal).record(
@@ -234,7 +231,6 @@ impl Daemon {
                             identity: cell_identity(spec),
                             label: spec.label.clone(),
                             csv: csv.clone(),
-                            row: row_json.clone(),
                         },
                     );
                     let append_end = now_us();
@@ -319,7 +315,6 @@ impl Daemon {
                             label: spec.label.clone(),
                             cached: false,
                             csv,
-                            row: row_json,
                         }),
                     );
                 }),

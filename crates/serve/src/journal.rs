@@ -15,6 +15,7 @@
 //! cache, so losing a line costs one re-simulation, never correctness.
 
 use crate::json::Json;
+use crate::proto::{check_row, row_of};
 use bump_bench::experiment::ExperimentSpec;
 use std::collections::HashMap;
 use std::io::{BufRead as _, Write as _};
@@ -29,10 +30,9 @@ pub struct JournalEntry {
     pub identity: String,
     /// Cell label.
     pub label: String,
-    /// `MetricRow::to_csv` row.
+    /// `MetricRow::to_csv` row; the journal line's `row` object is
+    /// rendered from it ([`row_of`]).
     pub csv: String,
-    /// `MetricRow::to_json` row, parsed.
-    pub row: Json,
 }
 
 /// The cell's full identity: label plus the `Debug` rendering of its
@@ -169,7 +169,7 @@ impl Journal {
                 ("identity", Json::from(entry.identity.as_str())),
                 ("label", Json::from(entry.label.as_str())),
                 ("csv", Json::from(entry.csv.as_str())),
-                ("row", entry.row.clone()),
+                ("row", row_of(&entry.csv)),
             ])
             .to_string();
             let ok = writeln!(file, "{line}").and_then(|()| file.flush());
@@ -202,13 +202,14 @@ fn ends_with_newline(file: &mut std::fs::File) -> std::io::Result<bool> {
 fn parse_line(line: &str) -> Option<(u64, JournalEntry)> {
     let value = Json::parse(line).ok()?;
     let key = u64::from_str_radix(value.get("key")?.as_str()?, 16).ok()?;
+    let csv = value.get("csv")?.as_str()?.to_string();
+    check_row(&csv, value.get("row")?).ok()?;
     Some((
         key,
         JournalEntry {
             identity: value.get("identity")?.as_str()?.to_string(),
             label: value.get("label")?.as_str()?.to_string(),
-            csv: value.get("csv")?.as_str()?.to_string(),
-            row: value.get("row")?.clone(),
+            csv,
         },
     ))
 }
@@ -229,8 +230,10 @@ mod tests {
         JournalEntry {
             identity: format!("{label}|opts"),
             label: label.to_string(),
-            csv: format!("{label},1,2,3"),
-            row: Json::obj(vec![("label", Json::from(label))]),
+            csv: format!(
+                "{label},BuMP,Web Search,1,42,10,20,2.000000,0.500000,0.600000,\
+                 1.250000,0.001000,30,0.100000,0.200000,0.300000,0.400000,0.500000"
+            ),
         }
     }
 
@@ -343,6 +346,32 @@ mod tests {
         assert_eq!(j.get(1).unwrap().label, "whole");
         assert_eq!(j.get(3).unwrap().label, "rerun");
         assert!(j.get(2).is_none(), "exactly the torn cell is re-run");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn line_whose_row_disagrees_with_its_csv_is_skipped() {
+        let path = temp_path("row-mismatch");
+        let _ = std::fs::remove_file(&path);
+        {
+            let mut j = Journal::open(&path).unwrap();
+            j.record(1, entry("kept"));
+            j.record(2, entry("edited"));
+        }
+        let text = std::fs::read_to_string(&path).unwrap();
+        let (kept, edited) = text.trim_end().split_once('\n').unwrap();
+        assert!(kept.contains(r#""row":{"label":"kept","#), "{kept}");
+        std::fs::write(
+            &path,
+            format!("{kept}\n{}\n", edited.replace("\"ipc\":2.0", "\"ipc\":3.0")),
+        )
+        .unwrap();
+        let j = Journal::open(&path).unwrap();
+        assert_eq!(j.get(1), Some(&entry("kept")));
+        assert!(
+            j.get(2).is_none(),
+            "a row that disagrees with its csv is not served"
+        );
         let _ = std::fs::remove_file(&path);
     }
 

@@ -18,7 +18,7 @@
 
 use crate::json::{field_bool, field_str, field_u64, reject_unknown_keys, Json};
 use crate::trace::{Span, TraceContext};
-use bump_bench::experiment::ExperimentGrid;
+use bump_bench::experiment::{ExperimentGrid, MetricRow};
 use bump_sim::{
     series_from_json, series_to_json, Engine, Preset, RunOptions, Scenario, TelemetrySeries,
 };
@@ -163,11 +163,28 @@ pub struct CellResult {
     /// True when the row was served from the resume journal.
     pub cached: bool,
     /// The cell's metric row, exactly as `run_grid` renders it to CSV
-    /// (`MetricRow::to_csv`; columns per `MetricRow::CSV_HEADER`).
+    /// (`MetricRow::to_csv`; columns per `MetricRow::CSV_HEADER`). The
+    /// frame's `row` object is rendered from it ([`row_of`]).
     pub csv: String,
-    /// The same row as a structured JSON object
-    /// (`MetricRow::to_json`).
-    pub row: Json,
+}
+
+/// The `row` object a `cell_result` frame or journal line carries
+/// beside its `csv`: the same metric row as structured JSON
+/// (`MetricRow::to_json`), rendered from the CSV rather than stored, so
+/// the two cannot disagree. `null` if `csv` is not a metric row.
+pub fn row_of(csv: &str) -> Json {
+    MetricRow::csv_to_json(csv).unwrap_or(Json::Null)
+}
+
+/// Checks a received `row` against the one its `csv` renders. Compares
+/// encodings, not values: a non-finite float renders as NaN but
+/// arrives as `null`.
+pub fn check_row(csv: &str, row: &Json) -> Result<(), String> {
+    match MetricRow::csv_to_json(csv) {
+        Some(want) if want.to_string() == row.to_string() => Ok(()),
+        Some(_) => Err("field \"row\" disagrees with field \"csv\"".to_string()),
+        None => Err("field \"csv\" is not a metric row".to_string()),
+    }
 }
 
 /// A protocol frame (one line on the wire).
@@ -318,7 +335,7 @@ impl Frame {
                 ("label", Json::from(cell.label.as_str())),
                 ("cached", Json::from(cell.cached)),
                 ("csv", Json::from(cell.csv.as_str())),
-                ("row", cell.row.clone()),
+                ("row", row_of(&cell.csv)),
             ]),
             Frame::JobDone { job, cells } => Json::obj(vec![
                 ("type", Json::from("job_done")),
@@ -470,14 +487,15 @@ impl Frame {
                     &value,
                     &["type", "job", "index", "label", "cached", "csv", "row"],
                 )?;
-                Ok(Frame::CellResult(CellResult {
+                let cell = CellResult {
                     job: field_u64(&value, "job")?,
                     index: field_u64(&value, "index")?,
                     label: field_str(&value, "label")?,
                     cached: field_bool(&value, "cached")?,
                     csv: field_str(&value, "csv")?,
-                    row: value.get("row").cloned().ok_or("missing field \"row\"")?,
-                }))
+                };
+                check_row(&cell.csv, value.get("row").ok_or("missing field \"row\"")?)?;
+                Ok(Frame::CellResult(cell))
             }
             "job_done" => {
                 reject_unknown_keys(&value, &["type", "job", "cells"])?;
@@ -897,6 +915,9 @@ mod tests {
         assert_eq!(grid.cells()[0].label, "Base-open/Web Search");
     }
 
+    const CSV: &str = "BuMP/Web Search,BuMP,Web Search,1,42,10,20,2.000000,0.500000,\
+        0.600000,1.250000,0.001000,30,0.100000,0.200000,0.300000,0.400000,0.500000";
+
     #[test]
     fn result_frames_round_trip() {
         let cell = CellResult {
@@ -904,8 +925,7 @@ mod tests {
             index: 3,
             label: "BuMP/Web Search".to_string(),
             cached: true,
-            csv: "BuMP/Web Search,BuMP,Web Search,1,42,10,20,2.0".to_string(),
-            row: Json::parse(r#"{"label":"BuMP/Web Search","ipc":2.000000}"#).unwrap(),
+            csv: CSV.to_string(),
         };
         for frame in [
             Frame::CellResult(cell),
@@ -923,6 +943,30 @@ mod tests {
             assert!(!line.contains('\n'), "frames are single lines: {line}");
             assert_eq!(Frame::parse(&line), Ok(frame));
         }
+    }
+
+    #[test]
+    fn cell_result_row_is_rendered_from_and_checked_against_csv() {
+        let line = Frame::CellResult(CellResult {
+            job: 1,
+            index: 0,
+            label: "BuMP/Web Search".to_string(),
+            cached: false,
+            csv: CSV.to_string(),
+        })
+        .encode();
+        let row = Json::parse(&line).unwrap().get("row").cloned().unwrap();
+        assert_eq!(row.get("ipc").and_then(Json::as_f64), Some(2.0));
+        assert_eq!(row.get("dram_accesses").and_then(Json::as_u64), Some(30));
+        assert!(Frame::parse(&line).is_ok());
+        let edited = line.replace("\"ipc\":2.0", "\"ipc\":2.5");
+        assert_ne!(edited, line);
+        let err = Frame::parse(&edited).unwrap_err();
+        assert!(err.contains("disagrees"), "{err}");
+        let no_row = line.replace(&format!(",\"row\":{row}"), "");
+        assert!(Frame::parse(&no_row).is_err(), "row is required");
+        let bad_csv = line.replace(CSV, "BuMP/Web Search,1,2");
+        assert!(Frame::parse(&bad_csv).is_err(), "csv must be a metric row");
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! client can construct must survive encode → parse exactly, and
 //! malformed lines must be rejected, not misread.
 
+use bump_bench::experiment::MetricRow;
 use bump_serve::json::Json;
 use bump_serve::proto::{CellResult, Frame, SubmitBatch, SubmitSpec};
 use bump_serve::trace::{Span, SpanId, TraceContext, TraceId};
@@ -87,18 +88,34 @@ fn arb_submit() -> impl proptest::strategy::Strategy<Value = SubmitSpec> {
         )
 }
 
-fn arb_row() -> impl proptest::strategy::Strategy<Value = Json> {
+/// A metric row over the full domain of every numeric column (NaN,
+/// infinities and 300-digit fixed-point texts included).
+fn arb_metric_row() -> impl proptest::strategy::Strategy<Value = MetricRow> {
     (
-        arb_string(),
-        any::<u64>(),
-        (0u64..1_000_000).prop_map(|n| n as f64 / 1000.0),
+        arb_string().prop_map(|s| s.replace(',', ";")),
+        (arb_preset(), arb_workload()),
+        prop::collection::vec(any::<u64>(), 5..6),
+        prop::collection::vec(any::<u64>().prop_map(f64::from_bits), 10..11),
     )
-        .prop_map(|(label, cycles, ipc)| {
-            Json::obj(vec![
-                ("label", Json::from(label)),
-                ("cycles", Json::from(cycles)),
-                ("ipc", Json::from(ipc)),
-            ])
+        .prop_map(|(label, (preset, workload), n, x)| MetricRow {
+            label,
+            preset: preset.name(),
+            workload: workload.name(),
+            cores: n[0] as usize,
+            seed: n[1],
+            cycles: n[2],
+            instructions: n[3],
+            ipc: x[0],
+            row_hit: x[1],
+            ideal_row_hit: x[2],
+            energy_per_access_nj: x[3],
+            server_energy_j: x[4],
+            dram_accesses: n[4],
+            write_fraction: x[5],
+            predicted_read_fraction: x[6],
+            read_overfetch_fraction: x[7],
+            predicted_write_fraction: x[8],
+            extra_writeback_fraction: x[9],
         })
 }
 
@@ -154,13 +171,17 @@ proptest! {
         ids in (any::<u64>(), any::<u64>()),
         label in arb_string(),
         cached in any::<bool>(),
-        csv in arb_string(),
-        row in arb_row(),
+        row in arb_metric_row(),
     ) {
         let (job, index) = ids;
-        let frame = Frame::CellResult(CellResult { job, index, label, cached, csv, row });
+        let csv = row.to_csv();
+        let frame = Frame::CellResult(CellResult { job, index, label, cached, csv });
         let line = frame.encode();
         prop_assert!(!line.contains('\n'), "frame must be one line: {line}");
+        // The row object is rendered from the CSV, byte-identical to
+        // what `MetricRow::to_json` gives for the row itself.
+        let rendered = Json::parse(&line).unwrap().get("row").cloned().unwrap();
+        prop_assert_eq!(rendered.to_string(), row.to_json().to_string());
         prop_assert_eq!(Frame::parse(&line), Ok(frame));
     }
 

@@ -11,7 +11,7 @@
 //! BUMP_BLESS_GOLDEN=1 cargo test --test golden_reports
 //! ```
 
-use bump_bench::experiment::{run_grid, ExperimentGrid, ExperimentSpec};
+use bump_bench::experiment::{run_grid, ExperimentGrid, ExperimentSpec, MetricRow};
 use bump_sim::{Engine, Preset, RunOptions};
 use bump_workloads::Workload;
 use std::path::PathBuf;
@@ -78,6 +78,22 @@ fn golden_cells_match_committed_snapshot_under_both_engines() {
             csv, golden,
             "{engine} engine drifted from the golden snapshot; if the \
              change is intentional, re-bless with BUMP_BLESS_GOLDEN=1"
+        );
+    }
+}
+
+/// The serving tier stores only a cell's CSV row and renders the
+/// frame's `row` object from it, so that rendering must reproduce
+/// `MetricRow::to_json` byte for byte.
+#[test]
+fn golden_rows_render_from_their_csv() {
+    for row in run_grid(&golden_grid(Engine::Event), 1).metric_rows() {
+        let rendered = MetricRow::csv_to_json(&row.to_csv()).expect("a metric row");
+        assert_eq!(
+            rendered.to_string(),
+            row.to_json().to_string(),
+            "{}",
+            row.label
         );
     }
 }
