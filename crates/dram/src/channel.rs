@@ -17,8 +17,9 @@
 //! Queue paper the baseline compares against.
 //!
 //! Each queue keeps a per-bank index ([`TxnQueue`]): how many entries
-//! target each bank, how many of those hit the bank's open row, and a
-//! bitmask of the banks with any entry. Every gate of the arbitration
+//! target each bank, how many of those hit the bank's open row or are
+//! demand (non-speculative) traffic, and bitmasks of the banks with any
+//! entry and with a demand entry. Every gate of the arbitration
 //! above depends only on a bank's state and whether it has a pending
 //! hit, so a cycle that issues nothing costs O(occupied banks); the
 //! queue itself is walked only to pick the transaction a command serves.
@@ -85,13 +86,17 @@ struct Queued {
 /// - `queued[b]` is the number of entries targeting `b`;
 /// - `hits[b]` is the number of those whose row is `b`'s open row
 ///   (zero while `b` is precharged);
-/// - bit `b` of `occupied` is set iff `queued[b] > 0`.
+/// - bit `b` of `occupied` is set iff `queued[b] > 0`;
+/// - `demand[b]` is the number of those that are not speculative;
+/// - bit `b` of `demand_occupied` is set iff `demand[b] > 0`.
 #[derive(Debug)]
 struct TxnQueue {
     entries: VecDeque<Queued>,
     queued: Vec<u32>,
     hits: Vec<u32>,
     occupied: u64,
+    demand: Vec<u32>,
+    demand_occupied: u64,
 }
 
 impl TxnQueue {
@@ -101,6 +106,8 @@ impl TxnQueue {
             queued: vec![0; banks],
             hits: vec![0; banks],
             occupied: 0,
+            demand: vec![0; banks],
+            demand_occupied: 0,
         }
     }
 
@@ -113,7 +120,15 @@ impl TxnQueue {
         self.queued[q.bank] += 1;
         self.hits[q.bank] += u32::from(hit);
         self.occupied |= 1 << q.bank;
+        if !q.txn.class.is_speculative() {
+            self.add_demand(q.bank);
+        }
         self.entries.push_back(q);
+    }
+
+    fn add_demand(&mut self, bank: usize) {
+        self.demand[bank] += 1;
+        self.demand_occupied |= 1 << bank;
     }
 
     /// Removes the entry at `pos`, which a column command is serving —
@@ -124,6 +139,12 @@ impl TxnQueue {
         self.hits[q.bank] -= 1;
         if self.queued[q.bank] == 0 {
             self.occupied &= !(1 << q.bank);
+        }
+        if !q.txn.class.is_speculative() {
+            self.demand[q.bank] -= 1;
+            if self.demand[q.bank] == 0 {
+                self.demand_occupied &= !(1 << q.bank);
+            }
         }
         q
     }
@@ -144,13 +165,15 @@ impl TxnQueue {
     /// The oldest entry in one of the banks of `mask` that `pred`
     /// accepts. With `demand_first`, the oldest demand entry wins over
     /// older speculative (prefetch/bulk) ones, so streams cannot delay
-    /// the critical path.
+    /// the critical path. Without a demand entry in `mask`'s banks the
+    /// first match wins outright, so the walk stops there.
     fn oldest(
         &self,
         mask: u64,
         demand_first: bool,
         pred: impl Fn(&Queued) -> bool,
     ) -> Option<usize> {
+        let demand_first = demand_first && mask & self.demand_occupied != 0;
         let mut any = None;
         for (i, q) in self.entries.iter().enumerate() {
             if mask & (1 << q.bank) != 0 && pred(q) {
@@ -333,13 +356,15 @@ impl Channel {
     /// transaction was found.
     pub fn promote_to_demand(&mut self, block: bump_types::BlockAddr) -> bool {
         self.horizon = None;
-        if let Some(q) = self
-            .read_queue
+        let queue = &mut self.read_queue;
+        if let Some(q) = queue
             .entries
             .iter_mut()
             .find(|q| q.txn.block == block && q.txn.class.is_speculative())
         {
             q.txn.class = bump_types::TrafficClass::Demand;
+            let bank = q.bank;
+            queue.add_demand(bank);
             true
         } else {
             false

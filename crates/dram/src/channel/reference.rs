@@ -176,17 +176,28 @@ fn assert_index_matches_queues(ch: &Channel, now: MemCycle) {
         let mut queued = vec![0u32; ch.banks.len()];
         let mut hits = vec![0u32; ch.banks.len()];
         let mut occupied = 0u64;
+        let mut demand = vec![0u32; ch.banks.len()];
+        let mut demand_occupied = 0u64;
         for q in &queue.entries {
             assert_eq!(q.bank, ch.bank_index(q.coord), "stored bank index");
             queued[q.bank] += 1;
             hits[q.bank] += u32::from(ch.banks[q.bank].open_row() == Some(q.coord.row));
             occupied |= 1 << q.bank;
+            if !q.txn.class.is_speculative() {
+                demand[q.bank] += 1;
+                demand_occupied |= 1 << q.bank;
+            }
         }
         assert_eq!(queue.queued, queued, "{name} queued counts at cycle {now}");
         assert_eq!(queue.hits, hits, "{name} hit counts at cycle {now}");
         assert_eq!(
             queue.occupied, occupied,
             "{name} occupied mask at cycle {now}"
+        );
+        assert_eq!(queue.demand, demand, "{name} demand counts at cycle {now}");
+        assert_eq!(
+            queue.demand_occupied, demand_occupied,
+            "{name} demand mask at cycle {now}"
         );
     }
 }

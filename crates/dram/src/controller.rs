@@ -261,10 +261,16 @@ impl MemoryController {
         }
     }
 
-    /// Column commands issued across all channels — the only events
-    /// that pop queue entries and so unblock backpressured enqueues.
-    pub fn columns_issued(&self) -> u64 {
-        self.channels.iter().map(|c| c.columns_issued()).sum()
+    /// The channel `block` maps to.
+    pub fn channel_of(&self, block: bump_types::BlockAddr) -> usize {
+        self.mapper.decode(block).channel as usize
+    }
+
+    /// Column commands issued on channel `channel` — the only events
+    /// that pop its queue entries and so unblock backpressured
+    /// enqueues to it.
+    pub fn columns_issued_on(&self, channel: usize) -> u64 {
+        self.channels[channel].columns_issued()
     }
 
     /// Number of channels.
@@ -276,7 +282,7 @@ impl MemoryController {
     /// counters, in channel order — the telemetry sampler's bandwidth
     /// and row-locality gauges. Neither counter is cleared by
     /// [`MemoryController::reset_stats`] (the event loop's drain logic
-    /// watches `columns_issued` monotonically); samplers difference
+    /// watches `columns_issued_on` monotonically); samplers difference
     /// against a base snapshot instead.
     pub fn channel_activity(&self, out: &mut Vec<(u64, u64)>) {
         out.clear();

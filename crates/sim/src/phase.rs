@@ -22,13 +22,13 @@
 //! well under 1% error, which is what the figure binaries profile).
 //!
 //! Accounting is **self-time**: a phase entered while another is open
-//! (storm replay fires inside NOC delivery; density bookkeeping inside
-//! the LLC pump) has its wall time subtracted from its parent, so the
-//! per-phase numbers sum to the measured whole without double
-//! counting. The laps sit on the *step* granularity — the event
-//! engine's fast-forward interior deliberately stays un-lapped (its
-//! whole cost accrues to `FastForward`) because per-simulated-tick
-//! laps would cost more than the work they measure.
+//! (storm replay fires inside NOC delivery or the fast-forward; density
+//! bookkeeping inside the LLC pump) has its wall time subtracted from
+//! its parent, so the per-phase numbers sum to the measured whole
+//! without double counting. The laps sit on the *step* granularity —
+//! inside the event engine's fast-forward only storm rounds and
+//! bookkeeping are lapped (the rest accrues to `FastForward`) because
+//! per-simulated-tick laps would cost more than the work they measure.
 
 use std::time::Instant;
 
@@ -52,18 +52,20 @@ fn raw_now() -> u64 {
 }
 
 /// The simulator phases the profiler distinguishes. One [`System::step`]
-/// visits most of them in order; `StormReplay` nests inside
-/// `NocDelivery`, `Bookkeeping` inside `LlcPump`, and `FastForward`
-/// wraps the event engine's quiet-span machinery. The DRAM ticks and
-/// LLC pumps replayed *inside* a fast-forward are deliberately not
-/// lapped individually — their cost accrues to `FastForward` (minus
-/// any nested `Bookkeeping`), keeping the per-tick path lap-free.
+/// visits most of them in order; `Bookkeeping` nests inside `LlcPump`,
+/// and `FastForward` wraps the event engine's quiet span. A storm round
+/// nests inside `NocDelivery` when a full step delivers it and inside
+/// `FastForward` when it falls in a quiet span. The span's uncore steps
+/// (NOC delivery, DRAM drain, DRAM tick, LLC pump) are deliberately not
+/// lapped individually — their cost accrues to `FastForward` (minus any
+/// nested `StormReplay` and `Bookkeeping`), keeping the per-tick path
+/// lap-free.
 ///
 /// [`System::step`]: crate::System::step
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Phase {
-    /// Draining due NOC messages, fill responses to cores included.
+    /// A full step's delivery of due core responses and NOC messages.
     NocDelivery = 0,
     /// Coalesced Full-region retry-storm rounds (event engine).
     StormReplay = 1,
@@ -81,8 +83,8 @@ pub enum Phase {
     /// Density-profiler bookkeeping (the paper's region
     /// characterization), carved out of the LLC pump.
     Bookkeeping = 6,
-    /// The event engine's quiet-span fast-forward (null-cycle
-    /// arithmetic and span scanning).
+    /// The event engine's quiet-span fast-forward: null-cycle
+    /// arithmetic, span scanning and the uncore steps inside the span.
     FastForward = 7,
 }
 

@@ -1,8 +1,8 @@
 //! The cycle-driven full-system model.
 //!
-//! Per CPU cycle the system: delivers due NOC messages (LLC requests,
-//! L1 writebacks, core responses), ticks every core, drains the
-//! LLC-miss→DRAM issue queue under backpressure, advances the memory
+//! Per CPU cycle the system: delivers due core responses, then due NOC
+//! messages (LLC requests, L1 writebacks), ticks every core, drains the
+//! LLC-miss→DRAM issue queues under backpressure, advances the memory
 //! controller in its own clock domain, and feeds the LLC event stream
 //! to whichever mechanism the preset configures (stride/SMS prefetcher,
 //! VWQ, BuMP, or the Full-region strawman).
@@ -19,21 +19,18 @@ use bump_dram::{MemoryController, Transaction};
 use bump_energy::{EnergyModel, SystemActivity};
 use bump_noc::{DeliveryQueue, MessageKind, Noc};
 use bump_prefetch::{Prefetcher, SmsPrefetcher, StridePrefetcher};
-use bump_types::{
-    AccessKind, BlockAddr, CoreId, Cycle, FxHashSet, MemCycle, MemoryRequest, TrafficClass,
-};
+use bump_types::{AccessKind, BlockAddr, CoreId, Cycle, MemCycle, MemoryRequest, TrafficClass};
 use bump_vwq::VirtualWriteQueue;
 use bump_workloads::WorkloadGen;
 use std::collections::VecDeque;
 
+/// An uncore NOC delivery. Core responses travel in their own queue
+/// ([`System::responses`]): a response touches only its core, so it
+/// commutes with every uncore delivery of the same cycle.
 #[derive(Debug)]
 enum Pending {
     LlcRequest(MemoryRequest),
     L1Writeback(BlockAddr),
-    CoreResponse {
-        core: CoreId,
-        block: BlockAddr,
-    },
     /// Event engine only: one coalesced Full-region retry round for
     /// the parked batch with this id (see [`StormState`]).
     StormRetry(usize),
@@ -200,13 +197,12 @@ struct StormBatch {
     /// How many *live* members map to each LLC bank (for the bulk
     /// occupancy replay of a wholesale-refused round).
     bank_counts: Vec<u32>,
-    /// Live-member count per block, for the dirtying probe and for
-    /// detecting tail duplicates of a just-allocated block.
+    /// Live-member count per block, for [`System::note_block_event`].
     blocks: bump_types::FxHashMap<BlockAddr, u32>,
-    /// Set when a member block gained an MSHR or residency could have
-    /// changed since the last round — the next round must re-probe
-    /// each member for real instead of bulk-refusing.
-    dirty: bool,
+    /// Live member blocks that gained an MSHR, or may have become
+    /// resident, since the last round (repeats allowed). Every other
+    /// live member still provably refuses.
+    touched: Vec<BlockAddr>,
     in_use: bool,
 }
 
@@ -253,12 +249,12 @@ struct OpenBatch {
 /// read retries 16 cycles later, and under §V.B load the oracle
 /// processes >100M such futile probes. The coalescer parks each
 /// same-slot run of refused requests as one [`StormBatch`] with a
-/// single `StormRetry` marker event. A round whose batch is still
-/// clean and whose pool has no headroom is replayed wholesale in
-/// O(banks) ([`Llc::replay_refused_speculative`]); headroom or a dirty
-/// flag expands the batch back into real per-request probes (and the
-/// still-refused tail re-parks in bulk), so total work is
-/// O(completions), not O(retries).
+/// single `StormRetry` marker event. A round sends through the real
+/// request path only the members that can resolve — the prefix the
+/// pool's headroom admits, and members whose block was touched since
+/// the last round and is now resident or has an MSHR — and replays the
+/// rest wholesale in O(banks) ([`Llc::replay_refused_speculative`]),
+/// so total work is O(completions), not O(retries).
 #[derive(Debug, Default)]
 struct StormState {
     batches: Vec<StormBatch>,
@@ -281,7 +277,6 @@ impl StormState {
         b.start = 0;
         b.bank_counts.clear();
         b.bank_counts.resize(banks, 0);
-        b.dirty = false;
         b.in_use = true;
         self.live += 1;
         id
@@ -293,6 +288,7 @@ impl StormState {
         debug_assert!(b.in_use);
         b.requests.clear();
         b.blocks.clear();
+        b.touched.clear();
         b.start = 0;
         b.in_use = false;
         self.free.push(id);
@@ -301,6 +297,20 @@ impl StormState {
             self.open = None;
         }
     }
+}
+
+/// The transactions waiting for room in one DRAM channel's queues, in
+/// the order the system produced them.
+#[derive(Debug, Default)]
+struct ChannelBacklog {
+    txns: VecDeque<Transaction>,
+    /// Whether every transaction in `txns` was refused at the last
+    /// drain (set by the drain, cleared by every push). While it holds,
+    /// a retry can only succeed after the channel issues a column — the
+    /// one command that pops a queue entry.
+    refused: bool,
+    /// The channel's column count at the last drain.
+    columns_at_drain: u64,
 }
 
 /// The simulated chip + memory system.
@@ -322,23 +332,17 @@ pub struct System {
     phase: PhaseProfiler,
 
     now: Cycle,
+    /// Uncore NOC deliveries (LLC requests, L1 writebacks, storm
+    /// retries).
     events: DeliveryQueue<Pending>,
+    /// Memory responses to cores: the only deliveries that can end the
+    /// event engine's quiet span.
+    responses: DeliveryQueue<(CoreId, BlockAddr)>,
     /// Parked Full-region retry batches (event engine).
     storm: StormState,
-    /// Scratch for the storm expansion's just-allocated block set.
-    storm_allocs: FxHashSet<BlockAddr>,
-    /// Spare request vector for storm expansions (capacity recycling).
-    storm_requests_scratch: Vec<MemoryRequest>,
-    pending_dram: VecDeque<Transaction>,
-    /// Whether every transaction currently in `pending_dram` has been
-    /// offered to its channel and refused (set by the drain, cleared by
-    /// every enqueue into `pending_dram`). While true, a drain retry
-    /// can only succeed after some channel issues a column command —
-    /// the event loop uses this to fast-forward across backpressure.
-    pending_drained: bool,
-    /// Column count observed at the last drain attempt: a later column
-    /// may have freed queue room, so the next drain must really run.
-    columns_at_drain: u64,
+    /// Transactions waiting for room in the memory controller, one
+    /// backlog per channel.
+    backlog: Vec<ChannelBacklog>,
     mem_cycle: MemCycle,
     mem_clock_acc: u64,
 
@@ -419,12 +423,11 @@ impl System {
             phase: PhaseProfiler::default(),
             now: 0,
             events: DeliveryQueue::default(),
+            responses: DeliveryQueue::default(),
             storm: StormState::default(),
-            storm_allocs: FxHashSet::default(),
-            storm_requests_scratch: Vec::new(),
-            pending_dram: VecDeque::new(),
-            pending_drained: true,
-            columns_at_drain: 0,
+            backlog: (0..cfg.dram.geometry.channels)
+                .map(|_| ChannelBacklog::default())
+                .collect(),
             mem_cycle: 0,
             mem_clock_acc: 0,
             traffic: TrafficBreakdown::default(),
@@ -540,11 +543,14 @@ impl System {
                 .map(StormBatch::live)
                 .sum();
             (
-                (self.events.len() - self.storm.live + live) as u64,
+                (self.events.len() - self.storm.live + live + self.responses.len()) as u64,
                 live as u64,
             )
         } else {
-            (self.events.len() as u64, self.storm_parked)
+            (
+                (self.events.len() + self.responses.len()) as u64,
+                self.storm_parked,
+            )
         };
         let point = TelemetryPoint {
             cycle: self.measured_cycles,
@@ -573,6 +579,11 @@ impl System {
         self.events.push(at.max(self.now + 1), what);
     }
 
+    /// Schedules the delivery of `block` to `core`.
+    fn respond(&mut self, at: Cycle, core: CoreId, block: BlockAddr) {
+        self.responses.push(at.max(self.now + 1), (core, block));
+    }
+
     /// Queues a DRAM transaction, recording the traffic taxonomy.
     fn queue_dram(&mut self, txn: Transaction, kind: Option<AccessKind>) {
         match (txn.class, kind) {
@@ -590,28 +601,23 @@ impl System {
             (TrafficClass::DemandWriteback, _) => self.traffic.demand_writebacks += 1,
             (TrafficClass::EagerWriteback, _) => self.traffic.eager_writebacks += 1,
         }
-        self.pending_dram.push_back(txn);
-        self.pending_drained = false;
+        let backlog = &mut self.backlog[self.mc.channel_of(txn.block)];
+        backlog.txns.push_back(txn);
+        backlog.refused = false;
     }
 
     fn handle_llc_request(&mut self, req: MemoryRequest) {
         let outcome = self.llc.access(req, self.now);
         if outcome.action == AccessAction::IssueDramRead {
-            // The block just gained an MSHR: parked retry batches
-            // containing it can no longer be bulk-refused.
+            // The block just gained an MSHR: parked retries for it
+            // would now merge.
             self.note_block_event(req.block);
         }
         let is_demand = req.class == TrafficClass::Demand;
         if outcome.hit {
             if is_demand {
                 let arrival = self.noc.send(MessageKind::Data, outcome.ready_at);
-                self.schedule(
-                    arrival,
-                    Pending::CoreResponse {
-                        core: req.core,
-                        block: req.block,
-                    },
-                );
+                self.respond(arrival, req.core, req.block);
             }
             return;
         }
@@ -631,11 +637,13 @@ impl System {
                     // fetch: promote the DRAM transaction so the
                     // prefetch inherits demand priority.
                     if !self.mc.promote_to_demand(req.block) {
-                        for t in self.pending_dram.iter_mut() {
-                            if t.block == req.block && t.class.is_speculative() {
-                                t.class = TrafficClass::Demand;
-                                break;
-                            }
+                        let backlog = &mut self.backlog[self.mc.channel_of(req.block)];
+                        if let Some(t) = backlog
+                            .txns
+                            .iter_mut()
+                            .find(|t| t.block == req.block && t.class.is_speculative())
+                        {
+                            t.class = TrafficClass::Demand;
                         }
                     }
                 }
@@ -670,7 +678,7 @@ impl System {
 
     fn handle_l1_writeback(&mut self, block: BlockAddr) {
         // A writeback can install the block in the LLC, so a parked
-        // retry for it could now hit: dirty any batch containing it.
+        // retry for it could now hit: touch it in any batch holding it.
         self.note_block_event(block);
         if let Some(victim) = self.llc.writeback_from_l1(block, self.now) {
             let txn = Transaction::write(victim, TrafficClass::DemandWriteback, 0);
@@ -678,16 +686,16 @@ impl System {
         }
     }
 
-    /// Marks every parked batch containing `block` dirty: its next
-    /// retry round can no longer assume the block is still MSHR-less
-    /// and non-resident, so it must re-probe for real.
+    /// Records `block` as touched in every parked batch holding it: its
+    /// next retry round can no longer assume the block is still
+    /// MSHR-less and non-resident, so it must look again.
     fn note_block_event(&mut self, block: BlockAddr) {
         if self.storm.live == 0 {
             return;
         }
         for b in &mut self.storm.batches {
-            if b.in_use && !b.dirty && b.blocks.contains_key(&block) {
-                b.dirty = true;
+            if b.in_use && b.blocks.contains_key(&block) {
+                b.touched.push(block);
             }
         }
     }
@@ -718,116 +726,62 @@ impl System {
 
     /// Runs one retry round for parked batch `id`, due now.
     ///
-    /// Fast path: the batch is clean (no member block gained an MSHR or
-    /// residency since it parked) and the speculative MSHR pool has no
-    /// headroom — every member provably refuses again, so the round's
-    /// side effects are replayed in bulk and the marker re-arms.
-    /// Otherwise the batch expands: members are re-probed through the
-    /// real request path in order until the headroom is gone again,
-    /// after which the still-clean tail is bulk-refused back into a
-    /// fresh batch (members whose block was just allocated by this very
-    /// expansion still probe for real — they merge, ending their
-    /// retries, exactly as the oracle's would).
+    /// While the speculative pool has headroom, the leading members go
+    /// through the real request path in order: the oracle's in-order
+    /// probes resolve exactly this prefix. Once the pool is full, a
+    /// member refuses unless its block is resident or has an MSHR, and
+    /// that can only hold for a block touched since the last round (the
+    /// prefix's own allocations touch their duplicates). Those members
+    /// resolve through the real path — a hit or a merge, which parks
+    /// nothing — and every other member refuses in place: one bulk
+    /// replay, and the marker re-arms. A refused speculative access
+    /// only charges its bank and counts, and same-cycle charges
+    /// commute, so resolving members out of slot order is exact.
     fn storm_round(&mut self, id: usize) {
         debug_assert!(self.storm.batches[id].in_use);
         if self.storm.open.as_ref().is_some_and(|o| o.id == id) {
             self.storm.open = None;
         }
-        let dirty = self.storm.batches[id].dirty;
-        if !dirty && self.llc.spec_mshr_headroom() == 0 {
-            // Every member still provably refuses: one bulk replay.
-            let b = &self.storm.batches[id];
-            self.llc
-                .replay_refused_speculative(&b.bank_counts, b.live() as u64, self.now);
-            let target = self.now + 16;
-            self.schedule(target, Pending::StormRetry(id));
-            self.storm.open = Some(OpenBatch {
-                id,
-                at: target,
-                slot_len: self.events.slot_len(target),
-            });
-            return;
-        }
-        if dirty {
-            // Member state is unknown: every request re-probes for real
-            // (hits, merges, allocations, and refusals — which re-park
-            // through the normal path). The vector is swapped against a
-            // scratch rather than left in place because a re-park may
-            // re-allocate this very batch slot mid-loop.
-            let mut requests = std::mem::replace(
-                &mut self.storm.batches[id].requests,
-                std::mem::take(&mut self.storm_requests_scratch),
-            );
-            let start = self.storm.batches[id].start;
-            self.storm.release(id);
-            for req in requests.drain(start..) {
-                self.handle_llc_request(req);
-            }
-            requests.clear();
-            self.storm_requests_scratch = requests;
-            return;
-        }
-        // Clean batch with headroom: the leading members allocate (or
-        // merge into each other's fresh MSHRs) through the real path,
-        // in order, until the pool is full again. The oracle resolves
-        // exactly this prefix: its per-request probes run in the same
-        // slot order and stop granting MSHRs at the same headroom.
-        let mut allocated = std::mem::take(&mut self.storm_allocs);
-        allocated.clear();
-        while self.storm.batches[id].start < self.storm.batches[id].requests.len()
-            && self.llc.spec_mshr_headroom() > 0
-        {
+        while self.storm.batches[id].live() > 0 && self.llc.spec_mshr_headroom() > 0 {
             let b = &mut self.storm.batches[id];
             let req = b.requests[b.start];
             b.start += 1;
-            let bank = self.llc.bank_of(req.block);
-            self.storm.batches[id].unregister(req.block, bank);
-            let before = self.llc.mshrs_in_use();
+            b.unregister(req.block, self.llc.bank_of(req.block));
             self.handle_llc_request(req);
-            if self.llc.mshrs_in_use() > before {
-                allocated.insert(req.block);
-            }
         }
-        // A tail member whose block was just allocated by this prefix
-        // would merge, not refuse — find and resolve those now (rare:
-        // only duplicate-block members; the common case touches no
-        // tail element at all).
-        if allocated
-            .iter()
-            .any(|b| self.storm.batches[id].blocks.contains_key(b))
-        {
-            let mut requests = std::mem::replace(
-                &mut self.storm.batches[id].requests,
-                std::mem::take(&mut self.storm_requests_scratch),
-            );
+        let mut touched = std::mem::take(&mut self.storm.batches[id].touched);
+        let b = &self.storm.batches[id];
+        touched.retain(|blk| {
+            b.blocks.contains_key(blk)
+                && (self.llc.contains(*blk) || self.llc.miss_outstanding(*blk))
+        });
+        if !touched.is_empty() {
+            touched.sort_unstable();
+            touched.dedup();
+            let mut requests = std::mem::take(&mut self.storm.batches[id].requests);
             let start = self.storm.batches[id].start;
-            let mut w = start;
+            let mut kept = start;
             for j in start..requests.len() {
                 let req = requests[j];
-                if allocated.contains(&req.block) {
+                if touched.binary_search(&req.block).is_ok() {
                     let bank = self.llc.bank_of(req.block);
                     self.storm.batches[id].unregister(req.block, bank);
-                    self.handle_llc_request(req); // merges; cannot re-park
+                    self.handle_llc_request(req);
                 } else {
-                    requests[w] = req;
-                    w += 1;
+                    requests[kept] = req;
+                    kept += 1;
                 }
             }
-            requests.truncate(w);
-            self.storm_requests_scratch =
-                std::mem::replace(&mut self.storm.batches[id].requests, requests);
+            requests.truncate(kept);
+            self.storm.batches[id].requests = requests;
         }
-        // Any dirtying observed during this round came from the
-        // prefix's own allocations, whose duplicates were just
-        // resolved: the surviving tail is clean again.
-        self.storm.batches[id].dirty = false;
-        self.storm_allocs = allocated;
+        touched.clear();
+        self.storm.batches[id].touched = touched;
         let b = &self.storm.batches[id];
         if b.live() == 0 {
             self.storm.release(id);
             return;
         }
-        // The surviving tail refuses wholesale: replay and re-park.
         self.llc
             .replay_refused_speculative(&b.bank_counts, b.live() as u64, self.now);
         let target = self.now + 16;
@@ -883,43 +837,48 @@ impl System {
         }
     }
 
+    /// Offers each channel's backlog to the memory controller, oldest
+    /// first; refused transactions keep their place.
+    ///
+    /// The oracle offers every transaction every cycle. The event engine
+    /// skips a channel whose backlog was wholly refused and that has
+    /// issued no column since, and within a channel it stops offering
+    /// reads (or writes) at their first refusal: `has_room` depends only
+    /// on that queue's length, which a drain can only grow.
     fn drain_dram_queue(&mut self) {
-        if self.pending_dram.is_empty() {
-            return;
-        }
-        // Event engine: when every pending transaction has already been
-        // refused and no column has freed queue room since, each retry
-        // is provably futile — skip the O(pending) loop entirely. (The
-        // oracle stays naive and retries every cycle; the outcome is
-        // identical because the retries cannot succeed.)
-        if self.cfg.engine == Engine::Event
-            && self.pending_drained
-            && self.mc.columns_issued() == self.columns_at_drain
-        {
-            return;
-        }
-        let mut tries = self.pending_dram.len();
-        let mut deferred: Vec<Transaction> = Vec::new();
-        while tries > 0 {
-            tries -= 1;
-            let Some(txn) = self.pending_dram.pop_front() else {
-                break;
-            };
-            if self.mc.try_enqueue(txn, self.mem_cycle).is_err() {
-                deferred.push(txn);
+        let event = self.cfg.engine == Engine::Event;
+        let now = self.mem_cycle;
+        let mc = &mut self.mc;
+        for (c, backlog) in self.backlog.iter_mut().enumerate() {
+            let columns = mc.columns_issued_on(c);
+            if backlog.txns.is_empty()
+                || (event && backlog.refused && columns == backlog.columns_at_drain)
+            {
+                continue;
             }
+            let (mut reads_full, mut writes_full) = (false, false);
+            backlog.txns.retain(|&txn| {
+                let full = if txn.is_write {
+                    &mut writes_full
+                } else {
+                    &mut reads_full
+                };
+                if *full {
+                    return true;
+                }
+                let refused = mc.try_enqueue(txn, now).is_err();
+                *full = refused && event;
+                refused
+            });
+            backlog.refused = true;
+            backlog.columns_at_drain = columns;
         }
-        for txn in deferred.into_iter().rev() {
-            self.pending_dram.push_front(txn);
-        }
-        self.pending_drained = true;
-        self.columns_at_drain = self.mc.columns_issued();
     }
 
     fn tick_dram(&mut self) {
         // Deliberately not lapped here: [`System::step`] wraps the
         // call in `DramTick`, while the fast-forward path's
-        // [`System::step_dram_only`] ticks accrue to `FastForward` —
+        // [`System::uncore_step`] ticks accrue to `FastForward` —
         // a per-fast-forwarded-tick lap would cost more than the work
         // it measures (see `benches/instrument_guard.rs`).
         let ratio = self.cfg.dram.freq_ratio_milli;
@@ -948,13 +907,7 @@ impl System {
                         self.noc
                             .send_many(MessageKind::Data, fill.waiters.len() as u64, self.now);
                     for w in fill.waiters {
-                        self.schedule(
-                            arrival,
-                            Pending::CoreResponse {
-                                core: w.core,
-                                block: c.txn.block,
-                            },
-                        );
+                        self.respond(arrival, w.core, c.txn.block);
                     }
                 }
             }
@@ -1092,19 +1045,24 @@ impl System {
         }
     }
 
-    /// Advances the system by one CPU cycle.
-    pub fn step(&mut self) {
-        self.measured_cycles += 1;
-        // 1. Deliver due NOC messages, one by one in slot order.
-        self.phase.enter(Phase::NocDelivery);
+    /// Delivers the memory responses due now, in arrival order.
+    fn deliver_responses(&mut self) {
+        while let Some(mut due) = self.responses.take_due(self.now) {
+            for (core, block) in due.drain(..) {
+                self.bank.respond_one(core, block, self.now);
+            }
+            self.responses.recycle(due);
+        }
+    }
+
+    /// Delivers the uncore NOC messages due now, one by one in slot
+    /// order.
+    fn deliver_uncore(&mut self) {
         while let Some(mut due) = self.events.take_due(self.now) {
             for what in due.drain(..) {
                 match what {
                     Pending::LlcRequest(req) => self.handle_llc_request(req),
                     Pending::L1Writeback(b) => self.handle_l1_writeback(b),
-                    Pending::CoreResponse { core, block } => {
-                        self.bank.respond_one(core, block, self.now);
-                    }
                     Pending::StormRetry(id) => {
                         self.phase.enter(Phase::StormReplay);
                         self.storm_round(id);
@@ -1120,6 +1078,15 @@ impl System {
             }
             self.events.recycle(due);
         }
+    }
+
+    /// Advances the system by one CPU cycle.
+    pub fn step(&mut self) {
+        self.measured_cycles += 1;
+        // 1. Deliver due responses, then due NOC messages.
+        self.phase.enter(Phase::NocDelivery);
+        self.deliver_responses();
+        self.deliver_uncore();
         self.phase.exit();
         // 2. Cores.
         self.phase.enter(Phase::CoreTick);
@@ -1137,8 +1104,28 @@ impl System {
         self.phase.enter(Phase::LlcPump);
         self.process_llc_events();
         self.phase.exit();
-        // End-of-cycle telemetry sample: one predicted compare
-        // (`telemetry_next` is `u64::MAX` while telemetry is off).
+        self.end_cycle();
+    }
+
+    /// One cycle of the quiet span in which — as established by
+    /// [`System::fast_forward`] — no response is due and every core is
+    /// idle: [`System::step`] without the responses and the core scan,
+    /// and with only storm rounds (and the pump's nested bookkeeping)
+    /// lapped. The cores' idle cycle is accrued at span end.
+    fn uncore_step(&mut self) {
+        self.measured_cycles += 1;
+        self.deliver_uncore();
+        self.drain_dram_queue();
+        self.tick_dram();
+        self.process_llc_events();
+        self.end_cycle();
+    }
+
+    /// Takes the end-of-cycle telemetry sample, if one is due, and
+    /// advances the clock.
+    fn end_cycle(&mut self) {
+        // One predicted compare (`telemetry_next` is `u64::MAX` while
+        // telemetry is off).
         if self.measured_cycles == self.telemetry_next {
             self.telemetry_capture();
         }
@@ -1171,10 +1158,10 @@ impl System {
     }
 
     /// The event-driven loop: after every real step, fast-forward
-    /// across the span of provably null cycles — no deliverable NOC
-    /// event, every core blocked or waiting on a future completion, no
-    /// DRAM issue/completion/refresh, nothing queued for the memory
-    /// controller — by replaying the span's counter updates in bulk.
+    /// across the quiet span in which no core can act — every core
+    /// blocked or waiting for a future cycle, no response due — running
+    /// only the cycles that have uncore work and skipping the rest in
+    /// bulk.
     fn run_event(&mut self, instructions: u64, max_cycles: u64) -> (u64, u64) {
         let start_instr = self.measured_instructions;
         let start_cycles = self.measured_cycles;
@@ -1195,14 +1182,15 @@ impl System {
         )
     }
 
-    /// Advances through the current *quiet span*: the run of cycles in
-    /// which no core can retire, issue, or dispatch and no NOC event
-    /// falls due. Within the span, cycles that perform no memory-
-    /// controller work at all are replayed arithmetically in bulk
-    /// ([`System::skip_cycles`]), and cycles whose only work is a DRAM
-    /// tick run through the stripped [`System::step_dram_only`] — the
-    /// full per-cycle step only resumes when a core wakes, an event
-    /// delivers, backpressure queues work, or the budget expires.
+    /// Advances through the current *quiet span*: the cycles before the
+    /// earliest of a core wakeup, a due response and the budget. No
+    /// core can act inside it, and nothing the uncore does reaches a
+    /// core except through a response, so the cores stay frozen and
+    /// their per-cycle stall accounting is replayed once at span end.
+    /// A cycle with uncore work (a due NOC message, a drain that could
+    /// succeed, an eventful DRAM cycle) runs as a
+    /// [`System::uncore_step`]; the cycles between them are replayed
+    /// arithmetically ([`System::skip_cycles`]).
     fn fast_forward(&mut self, start_cycles: u64, max_cycles: u64) {
         // Earliest cycle any core might act; bail out while one is busy.
         let Some(core_bound) = self.core_quiet_bound() else {
@@ -1220,50 +1208,39 @@ impl System {
                 .filter(|&i| self.bank.stall[i] & 1 != 0)
                 .count() as u64;
         }
-        // The cores stay frozen for the whole span (no event delivery
-        // happens inside this loop), so their per-cycle stall
-        // accounting is linear and can be replayed once at span end.
         let mut core_idle_cycles: u64 = 0;
         loop {
-            if self.backpressure_blocked() {
-                break;
-            }
+            // An uncore step may schedule a response, so the span's end
+            // is re-read every iteration.
             let budget = max_cycles - (self.measured_cycles - start_cycles);
-            if budget == 0 {
-                break;
-            }
             let mut limit = core_bound.min(self.now + budget);
-            if let Some(at) = self.events.next_at() {
+            if let Some(at) = self.responses.next_at() {
                 limit = limit.min(at);
             }
             if limit <= self.now {
-                break; // an event (or the core wakeup) is due next cycle
-            }
-            // The CPU cycle whose tick_dram performs the next eventful
-            // memory cycle; everything strictly before it is null.
-            let mem_event = self.mc.next_event_at(self.mem_cycle);
-            let dram_cycle = self.cpu_cycle_for_mem(mem_event);
-            if dram_cycle >= limit {
-                let n = limit - self.now;
-                self.skip_span(n, core_idle_cycles);
-                core_idle_cycles += n;
                 break; // the cycle at `limit` needs a full step
             }
-            if dram_cycle > self.now {
-                let n = dram_cycle - self.now;
+            // The next cycle with uncore work; every cycle before it is
+            // null.
+            let next = if self.drain_due() {
+                self.now
+            } else {
+                let dram = self.cpu_cycle_for_mem(self.mc.next_event_at(self.mem_cycle));
+                self.events.next_at().map_or(dram, |at| at.min(dram))
+            };
+            let n = next.min(limit) - self.now;
+            if n > 0 {
                 self.skip_span(n, core_idle_cycles);
                 core_idle_cycles += n;
+            }
+            if next >= limit {
+                break;
             }
             core_idle_cycles += 1;
             if telemetry_on {
                 self.ff_idle = core_idle_cycles;
             }
-            self.step_dram_only();
-            // Cores stay frozen (no event was delivered), so the core
-            // bound still holds; the DRAM tick may have scheduled new
-            // NOC events or queued writebacks — the next iteration
-            // re-reads both, and the backpressure check at the loop top
-            // catches any column that freed queue room.
+            self.uncore_step();
         }
         if core_idle_cycles > 0 {
             // Every classification was cached by core_quiet_bound and
@@ -1304,14 +1281,13 @@ impl System {
         }
     }
 
-    /// Whether a backpressured transaction might enqueue on the next
-    /// cycle, so the per-cycle drain attempts must really run. False
-    /// while every pending transaction has already been refused by its
-    /// full channel and no column command has freed room since — the
-    /// only condition under which the retries provably keep failing.
-    fn backpressure_blocked(&self) -> bool {
-        !self.pending_dram.is_empty()
-            && (!self.pending_drained || self.mc.columns_issued() != self.columns_at_drain)
+    /// Whether some channel's backlog might enqueue on the next cycle,
+    /// so the drain must really run: it holds a transaction not yet
+    /// refused, or the channel issued a column since the refusal.
+    fn drain_due(&self) -> bool {
+        self.backlog.iter().enumerate().any(|(c, b)| {
+            !b.txns.is_empty() && (!b.refused || self.mc.columns_issued_on(c) != b.columns_at_drain)
+        })
     }
 
     /// The earliest cycle any core could retire, issue, or dispatch,
@@ -1334,22 +1310,6 @@ impl System {
             }
         }
         Some(bound)
-    }
-
-    /// A stripped [`System::step`] for cycles in which — as established
-    /// by [`System::fast_forward`] — no event is due, every core is
-    /// idle, and nothing waits to enqueue to DRAM: only the DRAM clock
-    /// domain ticks (possibly filling the LLC and scheduling core
-    /// responses) and the mechanisms consume any LLC events the fills
-    /// produced. Identical to what the full step does on such a cycle.
-    fn step_dram_only(&mut self) {
-        self.measured_cycles += 1;
-        self.tick_dram();
-        self.process_llc_events();
-        if self.measured_cycles == self.telemetry_next {
-            self.telemetry_capture();
-        }
-        self.now += 1;
     }
 
     /// Replays `n` null cycles in O(channels): advances the clocks and
