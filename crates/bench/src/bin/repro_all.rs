@@ -22,9 +22,7 @@ fn main() {
     for f in &suite {
         grid.merge((f.grid)(args.scale));
     }
-    let expanded = grid
-        .replicate_seeds(args.seeds)
-        .instrument(args.instruments);
+    let expanded = args.expand(&grid);
     println!(
         "repro_all: {} unique cells ({} with x{} seed replication) across {} targets, \
          {} worker threads, {} engine",
@@ -57,7 +55,7 @@ fn main() {
     };
     for f in &suite {
         println!("\n================ {} ================\n", f.name);
-        let out = (f.render)(results, args.scale);
+        let out = (f.render)(results);
         bump_bench::emit(f.name, &out);
         // Match the standalone binaries: per-figure structured rows too.
         let figure_grid = (f.grid)(args.scale);

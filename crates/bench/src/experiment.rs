@@ -978,65 +978,79 @@ pub struct GridArgs {
     pub instruments: Instruments,
 }
 
+/// The flags [`GridArgs::parse`] accepts, for its error message.
+const GRID_FLAGS: &str = "--quick | --full, --threads N, --seeds N, --engine {cycle,event}, \
+     --profile, --telemetry[=N], --smoke (scenarios only)";
+
 impl GridArgs {
-    /// Parses the process arguments. Also installs the parsed engine as
-    /// the process default (see [`crate::set_default_engine`]), so
-    /// every grid built from [`crate::Scale::options`] afterwards picks
-    /// it up.
+    /// Parses the process arguments; on an error prints it with the
+    /// list of valid flags and exits with status 2.
     pub fn from_args() -> Self {
-        let scale = Scale::from_args();
-        let mut threads = default_threads();
-        let mut seeds = 1;
-        let mut engine = bump_sim::Engine::default();
-        let args: Vec<String> = std::env::args().collect();
-        for i in 0..args.len() {
-            if args[i] == "--threads" {
-                match args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-                    // `--threads 0` still means one worker.
-                    Some(n) => threads = n.max(1),
-                    None => {
-                        eprintln!("error: --threads expects a worker count");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            if args[i] == "--seeds" {
-                match args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => seeds = n,
-                    _ => {
-                        eprintln!("error: --seeds expects a replica count >= 1");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            if args[i] == "--engine" {
-                match args.get(i + 1).and_then(|v| bump_sim::Engine::from_arg(v)) {
-                    Some(e) => engine = e,
-                    None => {
-                        // The engine choice is the semantic point of the
-                        // flag; running minutes of simulation under the
-                        // wrong one is worse than stopping.
-                        eprintln!("error: --engine expects 'cycle' or 'event'");
-                        std::process::exit(2);
-                    }
-                }
-            }
-        }
-        crate::set_default_engine(engine);
-        let telemetry = parse_telemetry_flag(&args).unwrap_or_else(|| {
-            eprintln!("error: --telemetry expects a positive cycle stride (--telemetry=N)");
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        GridArgs::parse(&args).unwrap_or_else(|e| {
+            eprintln!("error: {e}\nvalid flags: {GRID_FLAGS}");
             std::process::exit(2);
-        });
-        GridArgs {
-            scale,
-            threads,
-            seeds,
-            engine,
-            instruments: Instruments {
-                profile: args.iter().any(|a| a == "--profile"),
-                telemetry,
-            },
+        })
+    }
+
+    /// Parses a figure binary's arguments (without the program name).
+    /// Later flags override earlier ones; an unknown flag or a missing
+    /// or malformed value is an error. `--smoke` is accepted here and
+    /// read by the `scenarios` grid itself.
+    pub fn parse(args: &[String]) -> Result<GridArgs, String> {
+        let mut out = GridArgs {
+            scale: Scale::Quick,
+            threads: default_threads(),
+            seeds: 1,
+            engine: bump_sim::Engine::default(),
+            instruments: Instruments::default(),
+        };
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let mut value = || it.next().map(String::as_str).unwrap_or("");
+            match arg.as_str() {
+                "--quick" => out.scale = Scale::Quick,
+                "--full" => out.scale = Scale::Full,
+                // `--threads 0` still means one worker.
+                "--threads" => match value().parse::<usize>() {
+                    Ok(n) => out.threads = n.max(1),
+                    Err(_) => return Err("--threads expects a worker count".into()),
+                },
+                "--seeds" => match value().parse::<usize>() {
+                    Ok(n) if n >= 1 => out.seeds = n,
+                    _ => return Err("--seeds expects a replica count >= 1".into()),
+                },
+                // The engine choice is the semantic point of the flag;
+                // running minutes of simulation under the wrong one is
+                // worse than stopping.
+                "--engine" => match bump_sim::Engine::from_arg(value()) {
+                    Some(e) => out.engine = e,
+                    None => return Err("--engine expects 'cycle' or 'event'".into()),
+                },
+                "--profile" => out.instruments.profile = true,
+                a if a == "--telemetry" || a.starts_with("--telemetry=") => {
+                    out.instruments.telemetry = parse_telemetry_flag(std::slice::from_ref(arg))
+                        .ok_or("--telemetry expects a positive cycle stride (--telemetry=N)")?;
+                }
+                "--smoke" => {}
+                other => return Err(format!("unknown argument {other:?}")),
+            }
         }
+        Ok(out)
+    }
+
+    /// `grid` as this run simulates it: every cell replicated over
+    /// `--seeds`, with the run's instruments, under `--engine`.
+    /// Custom-config cells get the engine too, since
+    /// [`run_experiment_with_config`] takes it from the cell's options.
+    pub fn expand(&self, grid: &ExperimentGrid) -> ExperimentGrid {
+        let mut out = grid
+            .replicate_seeds(self.seeds)
+            .instrument(self.instruments);
+        for cell in &mut out.cells {
+            cell.options.engine = self.engine;
+        }
+        out
     }
 }
 
@@ -1308,6 +1322,70 @@ mod tests {
         );
         assert_eq!(parse_telemetry_flag(&argv(&["fig", "--telemetry=0"])), None);
         assert_eq!(parse_telemetry_flag(&argv(&["fig", "--telemetry=x"])), None);
+    }
+
+    #[test]
+    fn grid_args_parse_documented_forms_and_refuse_the_rest() {
+        let argv = |xs: &[&str]| xs.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        // Every form the README, the CI workflow and the docs run.
+        for ok in [
+            &[][..],
+            &["--full", "--threads", "8"],
+            &["--smoke"],
+            &["--quick", "--engine", "event"],
+            &["--quick", "--engine", "event", "--profile"],
+            &["--quick", "--telemetry", "--threads", "1"],
+            &["--telemetry=4096", "--seeds", "3", "--engine", "cycle"],
+        ] {
+            GridArgs::parse(&argv(ok)).unwrap_or_else(|e| panic!("{ok:?} refused: {e}"));
+        }
+        let a = GridArgs::parse(&argv(&[
+            "--full",
+            "--threads",
+            "0",
+            "--seeds",
+            "3",
+            "--engine",
+            "cycle",
+            "--profile",
+            "--telemetry=4096",
+        ]))
+        .unwrap();
+        assert_eq!(a.scale, Scale::Full);
+        assert_eq!(a.threads, 1, "--threads 0 still means one worker");
+        assert_eq!(a.seeds, 3);
+        assert_eq!(a.engine, bump_sim::Engine::Cycle);
+        assert_eq!(
+            a.instruments,
+            Instruments {
+                profile: true,
+                telemetry: Some(4096)
+            }
+        );
+        // What the parsed context does to a grid: seeds, instruments
+        // and the engine land on every cell.
+        let grid = ExperimentGrid::cartesian(&[Preset::BaseOpen], &[Workload::WebSearch], opts());
+        let expanded = a.expand(&grid);
+        assert_eq!(expanded.len(), 3);
+        for cell in expanded.cells() {
+            assert_eq!(cell.options.engine, bump_sim::Engine::Cycle);
+            assert_eq!(cell.instruments, a.instruments);
+        }
+        assert_eq!(GridArgs::parse(&[]).unwrap().scale, Scale::Quick);
+        for bad in [
+            &["--ful"][..],
+            &["--thread", "4"],
+            &["--quick", "--engine"],
+            &["--engine", "fast"],
+            &["--threads", "x"],
+            &["--seeds", "0"],
+            &["--telemetry=0"],
+            &["quick"],
+        ] {
+            assert!(GridArgs::parse(&argv(bad)).is_err(), "{bad:?} parsed");
+        }
+        let err = GridArgs::parse(&argv(&["--ful"])).unwrap_err();
+        assert!(err.contains("--ful"), "{err}");
     }
 
     #[test]

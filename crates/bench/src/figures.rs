@@ -29,7 +29,7 @@ pub struct Figure {
     /// The cells this figure needs at a given scale.
     pub grid: fn(Scale) -> ExperimentGrid,
     /// Formats the figure from grid results.
-    pub render: fn(&GridResults, Scale) -> String,
+    pub render: fn(&GridResults) -> String,
 }
 
 /// All reproduction targets, in `repro_all` order.
@@ -39,7 +39,7 @@ pub fn all() -> Vec<Figure> {
             name: "tab23_parameters",
             title: "Tables II-III: architectural and energy parameters",
             grid: |_| ExperimentGrid::new(),
-            render: |_, _| render_tab23(),
+            render: |_| render_tab23(),
         },
         Figure {
             name: "fig01_energy_breakdown",
@@ -198,9 +198,7 @@ pub fn by_name(name: &str) -> Option<Figure> {
 /// written as `results/<name>_seeds.csv` / `.json`.
 pub fn run_figure(figure: &Figure, args: GridArgs) {
     let grid = (figure.grid)(args.scale);
-    let expanded = grid
-        .replicate_seeds(args.seeds)
-        .instrument(args.instruments);
+    let expanded = args.expand(&grid);
     let stream = IncrementalCsv::new(figure.name);
     let all = run_grid_with(&expanded, args.threads, move |_, spec, report| {
         stream.append(&crate::experiment::MetricRow::of(spec, report));
@@ -217,7 +215,7 @@ pub fn run_figure(figure: &Figure, args: GridArgs) {
     } else {
         &all
     };
-    let mut out = (figure.render)(results, args.scale);
+    let mut out = (figure.render)(results);
     if args.seeds > 1 && !all.is_empty() {
         let summary = SeedSummary::from_results(&grid, &all, args.seeds);
         out.push('\n');
@@ -409,7 +407,7 @@ fn render_tab23() -> String {
 // ---------------------------------------------------------------------
 // Standard preset × workload figures
 
-fn render_fig01(results: &GridResults, _scale: Scale) -> String {
+fn render_fig01(results: &GridResults) -> String {
     let mut t = TextTable::new(&[
         "workload",
         "cores",
@@ -446,7 +444,7 @@ fn render_fig01(results: &GridResults, _scale: Scale) -> String {
     out
 }
 
-fn render_fig02(results: &GridResults, _scale: Scale) -> String {
+fn render_fig02(results: &GridResults) -> String {
     let mut t = TextTable::new(&["workload", "Base", "SMS", "VWQ", "Ideal"]);
     let mut avg = [0.0f64; 4];
     for w in Workload::all() {
@@ -489,7 +487,7 @@ fn render_fig02(results: &GridResults, _scale: Scale) -> String {
     out
 }
 
-fn render_fig03(results: &GridResults, _scale: Scale) -> String {
+fn render_fig03(results: &GridResults) -> String {
     let mut t = TextTable::new(&["workload", "load-trig reads", "store-trig reads", "writes"]);
     for w in Workload::all() {
         let r = results.get(Preset::BaseOpen, w);
@@ -509,7 +507,7 @@ fn render_fig03(results: &GridResults, _scale: Scale) -> String {
     out
 }
 
-fn render_fig05(results: &GridResults, _scale: Scale) -> String {
+fn render_fig05(results: &GridResults) -> String {
     let mut t = TextTable::new(&[
         "workload", "R low", "R med", "R high", "W low", "W med", "W high",
     ]);
@@ -535,7 +533,7 @@ fn render_fig05(results: &GridResults, _scale: Scale) -> String {
     out
 }
 
-fn render_tab1(results: &GridResults, _scale: Scale) -> String {
+fn render_tab1(results: &GridResults) -> String {
     let mut t = TextTable::new(&["workload", "measured", "paper"]);
     for (w, (_, reference)) in Workload::all().into_iter().zip(paper::TABLE1_LATE_MOD) {
         let r = results.get(Preset::BaseOpen, w);
@@ -553,7 +551,7 @@ fn render_tab1(results: &GridResults, _scale: Scale) -> String {
     out
 }
 
-fn render_fig08(results: &GridResults, _scale: Scale) -> String {
+fn render_fig08(results: &GridResults) -> String {
     let mut t = TextTable::new(&[
         "workload",
         "system",
@@ -584,7 +582,7 @@ fn render_fig08(results: &GridResults, _scale: Scale) -> String {
     out
 }
 
-fn render_fig09(results: &GridResults, _scale: Scale) -> String {
+fn render_fig09(results: &GridResults) -> String {
     let mut t = TextTable::new(&[
         "workload",
         "system",
@@ -619,7 +617,7 @@ fn render_fig09(results: &GridResults, _scale: Scale) -> String {
     out
 }
 
-fn render_fig10(results: &GridResults, _scale: Scale) -> String {
+fn render_fig10(results: &GridResults) -> String {
     let mut t = TextTable::new(&[
         "workload",
         "Base-close IPC",
@@ -663,7 +661,7 @@ fn render_fig10(results: &GridResults, _scale: Scale) -> String {
     out
 }
 
-fn render_fig12(results: &GridResults, _scale: Scale) -> String {
+fn render_fig12(results: &GridResults) -> String {
     let p = ChipEnergyParams::paper();
     let mut t = TextTable::new(&[
         "workload",
@@ -706,7 +704,7 @@ fn render_fig12(results: &GridResults, _scale: Scale) -> String {
     out
 }
 
-fn render_fig13(results: &GridResults, _scale: Scale) -> String {
+fn render_fig13(results: &GridResults) -> String {
     let mut t = TextTable::new(&["system", "row hit", "paper", "E/access nJ"]);
     let refs = [
         ("Base-close", 0.03),
@@ -776,7 +774,7 @@ fn render_fig13(results: &GridResults, _scale: Scale) -> String {
     out
 }
 
-fn render_tab4(results: &GridResults, _scale: Scale) -> String {
+fn render_tab4(results: &GridResults) -> String {
     let mut t = TextTable::new(&["workload", "measured", "paper"]);
     for (w, (_, reference)) in Workload::all().into_iter().zip(paper::TABLE4_BUMP_ROW_HITS) {
         let r = results.get(Preset::Bump, w);
@@ -791,7 +789,7 @@ fn render_tab4(results: &GridResults, _scale: Scale) -> String {
     out
 }
 
-fn render_calibrate(results: &GridResults, _scale: Scale) -> String {
+fn render_calibrate(results: &GridResults) -> String {
     let mut t = TextTable::new(&[
         "workload", "preset", "IPC", "rowhit", "ideal", "E/acc nJ", "wr%", "rd-high", "wr-high",
         "predR", "ovfR", "predW", "lateW", "tbl1",
@@ -856,7 +854,7 @@ fn fig11_grid(scale: Scale) -> ExperimentGrid {
     grid
 }
 
-fn render_fig11(results: &GridResults, _scale: Scale) -> String {
+fn render_fig11(results: &GridResults) -> String {
     let baselines: Vec<f64> = FIG11_WORKLOADS
         .iter()
         .map(|&w| results.get(Preset::BaseOpen, w).energy_per_access_nj())
@@ -1003,7 +1001,7 @@ fn ablations_grid(scale: Scale) -> ExperimentGrid {
     grid
 }
 
-fn render_ablations(results: &GridResults, _scale: Scale) -> String {
+fn render_ablations(results: &GridResults) -> String {
     let mut t = TextTable::new(&[
         "ablation",
         "workload",
@@ -1064,7 +1062,7 @@ fn virtualization_grid(scale: Scale) -> ExperimentGrid {
     grid
 }
 
-fn render_virtualization(results: &GridResults, _scale: Scale) -> String {
+fn render_virtualization(results: &GridResults) -> String {
     let mut t = TextTable::new(&[
         "configuration",
         "BHT entries",
@@ -1168,7 +1166,7 @@ fn scenarios_grid(scale: Scale) -> ExperimentGrid {
     grid
 }
 
-fn render_scenarios(results: &GridResults, _scale: Scale) -> String {
+fn render_scenarios(results: &GridResults) -> String {
     let smoke = scenarios_smoke();
     let mut t = TextTable::new(&[
         "scenario",

@@ -15,31 +15,12 @@ pub mod experiment;
 pub mod figures;
 pub mod sched;
 
-use bump_sim::{Engine, RunOptions};
+use bump_sim::RunOptions;
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::sync::OnceLock;
 
-/// The process-wide engine override, set once from the `--engine` CLI
-/// flag (see [`experiment::GridArgs::from_args`]). The figure registry
-/// builds its grids from [`Scale`] alone, so the engine choice travels
-/// through this global rather than through every grid constructor.
-static ENGINE: OnceLock<Engine> = OnceLock::new();
-
-/// Sets the engine every subsequently-built [`Scale::options`] uses.
-/// First caller wins; later calls are ignored (the flag is parsed once
-/// per process).
-pub fn set_default_engine(engine: Engine) {
-    let _ = ENGINE.set(engine);
-}
-
-/// The engine [`Scale::options`] hands out: the `--engine` flag's value
-/// if one was parsed, otherwise the event engine.
-pub fn default_engine() -> Engine {
-    ENGINE.get().copied().unwrap_or_default()
-}
-
-/// Scale of a reproduction run, selected by CLI argument.
+/// Scale of a reproduction run, selected by `--quick` / `--full` (see
+/// [`experiment::GridArgs`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
     /// Minutes-long run close to the paper's sampling windows.
@@ -49,31 +30,16 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parses `--full` / `--quick` from the process arguments.
-    pub fn from_args() -> Scale {
-        if std::env::args().any(|a| a == "--full") {
-            Scale::Full
-        } else {
-            Scale::Quick
-        }
-    }
-
-    /// The run options for this scale (engine per [`default_engine`]).
+    /// The run options for this scale, under the default engine (a run
+    /// stamps its `--engine` on each cell: [`experiment::GridArgs::expand`]).
     pub fn options(self) -> RunOptions {
-        let engine = default_engine();
         match self {
-            Scale::Full => RunOptions {
-                engine,
-                ..RunOptions::paper()
-            },
+            Scale::Full => RunOptions::paper(),
             Scale::Quick => RunOptions {
-                cores: 8,
                 warmup_instructions: 400_000,
                 measure_instructions: 400_000,
                 max_cycles: 30_000_000,
-                seed: 42,
-                small_llc: true,
-                engine,
+                ..RunOptions::quick(8)
             },
         }
     }

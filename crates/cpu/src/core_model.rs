@@ -14,7 +14,7 @@ pub struct PendingAccess {
 }
 
 /// When a core next needs to be ticked, as computed by
-/// [`LeanCore::next_wakeup`]. The event-driven system loop uses this to
+/// [`LeanCore::classify_idle`]. The event-driven system loop uses this to
 /// fast-forward over cycles in which a tick would provably only bump
 /// stall counters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -177,25 +177,20 @@ impl LeanCore {
     }
 
     /// Classifies what the next [`LeanCore::tick`] would do, without
-    /// performing it.
-    ///
-    /// This is the contract backing the event-driven system loop: when
-    /// it returns [`CoreWakeup::Blocked`], or [`CoreWakeup::At`] with a
-    /// cycle `t`, every tick before `t` (respectively, before the next
-    /// [`LeanCore::memory_response`]) retires nothing, issues nothing,
-    /// touches neither the L1 nor the instruction source, and only
-    /// advances the cycle/stall counters — exactly the updates
-    /// [`LeanCore::skip_idle`] replays in O(1). `Busy` is deliberately
-    /// conservative: whenever dispatch *might* make progress (e.g. the
-    /// source could yield an instruction) the core must be ticked.
-    pub fn next_wakeup(&self, _now: Cycle, l1: &L1Cache) -> CoreWakeup {
-        self.classify_idle(l1).wakeup
-    }
-
-    /// The full idle analysis: wakeup plus which stall counters an idle
+    /// performing it: the wakeup plus which stall counters an idle
     /// cycle charges. Valid until the next [`LeanCore::tick`] or
     /// accepted [`LeanCore::memory_response`]; the event-driven system
     /// caches it per core in its dense wakeup array.
+    ///
+    /// This is the contract backing the event-driven system loop: when
+    /// the wakeup is [`CoreWakeup::Blocked`], or [`CoreWakeup::At`] with
+    /// a cycle `t`, every tick before `t` (respectively, before the next
+    /// [`LeanCore::memory_response`]) retires nothing, issues nothing,
+    /// touches neither the L1 nor the instruction source, and only
+    /// advances the cycle/stall counters — exactly the updates
+    /// [`LeanCore::apply_idle`] replays in O(1). `Busy` is deliberately
+    /// conservative: whenever dispatch *might* make progress (e.g. the
+    /// source could yield an instruction) the core must be ticked.
     pub fn classify_idle(&self, l1: &L1Cache) -> IdleClass {
         let wakeup = self.compute_wakeup(l1);
         if wakeup == CoreWakeup::Busy {
@@ -284,19 +279,12 @@ impl LeanCore {
     }
 
     /// Replays the counter updates of `cycles` consecutive idle ticks
-    /// in O(1): cycle count, the ROB-head load stall, and the parked
-    /// store's buffer stall. Only legal when
-    /// [`LeanCore::next_wakeup`] proved the window idle (the
-    /// architectural state is frozen there, so each skipped tick would
-    /// have applied exactly these increments).
-    pub fn skip_idle(&mut self, cycles: u64, l1: &L1Cache) {
-        let class = self.classify_idle(l1);
-        self.apply_idle(cycles, class.load_stall, class.store_stall);
-    }
-
-    /// Replays `cycles` idle ticks from an already-computed
-    /// classification (the split half of [`LeanCore::skip_idle`] used
-    /// by the system's dense wakeup cache).
+    /// in O(1) — cycle count, the ROB-head load stall, and the parked
+    /// store's buffer stall — under the [`IdleClass`] stall flags
+    /// [`LeanCore::classify_idle`] computed. Only legal for a window
+    /// that classification proved idle (the architectural state is
+    /// frozen there, so each skipped tick would have applied exactly
+    /// these increments).
     pub fn apply_idle(&mut self, cycles: u64, load_stall: bool, store_stall: bool) {
         self.stats.cycles += cycles;
         if load_stall {

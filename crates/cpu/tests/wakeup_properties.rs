@@ -1,7 +1,8 @@
 //! Property tests for the core's event-engine contract: whenever
-//! `next_wakeup` classifies a cycle as idle, the actual tick retires
+//! `classify_idle` classifies a cycle as idle, the actual tick retires
 //! nothing, issues nothing, and touches nothing but the stall
-//! counters — and `skip_idle` replays exactly those counter updates.
+//! counters — and `apply_idle`, under that classification's stall
+//! flags, replays exactly those counter updates.
 
 use bump_cache::L1Cache;
 use bump_cpu::{CoreWakeup, LeanCore};
@@ -69,7 +70,7 @@ proptest! {
                 let (_, b) = inflight.pop_front().unwrap();
                 core.memory_response(b, now);
             }
-            let wakeup = core.next_wakeup(now, &l1);
+            let wakeup = core.classify_idle(&l1).wakeup;
             let idle = match wakeup {
                 CoreWakeup::Busy => false,
                 CoreWakeup::At(t) => t > now,
@@ -86,7 +87,7 @@ proptest! {
                 prop_assert!(writebacks.is_empty(), "idle cycle wrote back at {}", now);
                 prop_assert_eq!(core.mshrs_in_use(), mshrs_before);
                 // The tick's only effects are the counter updates that
-                // skip_idle(1) replays on a twin core.
+                // apply_idle(1, ..) replays on a twin core.
                 let s = core.stats();
                 prop_assert_eq!(s.retired, stats_before.retired);
                 prop_assert_eq!(s.loads, stats_before.loads);
@@ -102,7 +103,7 @@ proptest! {
         }
     }
 
-    /// `skip_idle(n)` equals n idle ticks: run two identical cores into
+    /// `apply_idle(n, ..)` equals n idle ticks: run two identical cores into
     /// a blocked state, tick one through the stall window, bulk-skip
     /// the other, and compare statistics.
     #[test]
@@ -126,7 +127,7 @@ proptest! {
                 ticked.memory_response(b, now);
                 skipped.memory_response(b, now);
             }
-            let idle_until = match ticked.next_wakeup(now, &l1_t) {
+            let idle_until = match ticked.classify_idle(&l1_t).wakeup {
                 CoreWakeup::Busy => now,
                 CoreWakeup::At(t) => t.max(now),
                 CoreWakeup::Blocked => inflight
@@ -144,7 +145,8 @@ proptest! {
                     prop_assert_eq!(retired, 0);
                 }
                 prop_assert!(idle_reqs.is_empty());
-                skipped.skip_idle(n, &l1_s);
+                let c = skipped.classify_idle(&l1_s);
+                skipped.apply_idle(n, c.load_stall, c.store_stall);
                 now = idle_until;
             } else {
                 requests.clear();

@@ -91,7 +91,7 @@ impl std::fmt::Display for Preset {
 ///
 /// Both engines execute the *same* per-cycle semantics; the event
 /// engine additionally proves — via the `next_event_at` /
-/// `next_wakeup` horizons of the DRAM channels and cores — that a span
+/// `classify_idle` horizons of the DRAM channels and cores — that a span
 /// of upcoming cycles is null (nothing retires, issues, completes, or
 /// schedules) and replays the span's counter updates in O(1) instead
 /// of ticking through it. The equivalence suite

@@ -60,7 +60,7 @@ enum WakeSlot {
 /// `LeanCore` keeps the (cold) architectural state; the (hot) wakeup
 /// metadata lives here in `wake`/`stall`, and idle cycles accrue in
 /// `owed` as plain integer adds — folded back into the core's stats
-/// only when its classification is invalidated (or a report is cut).
+/// only when its classification is invalidated (or the stats are read).
 /// Invariant: `owed[i] > 0` only while `wake[i]` is not `Stale`, so the
 /// accrued cycles are always replayed under the classification that
 /// was in force when they were observed.
@@ -127,27 +127,20 @@ impl CoreBank {
         }
     }
 
-    /// Flushes every core's accrued idle cycles (report/reset cut).
+    /// Flushes every core's accrued idle cycles.
     fn flush_all(&mut self) {
         for i in 0..self.cores.len() {
             self.flush_idle(i);
         }
     }
 
-    /// Aggregate ROB-head load-stall cycles *as of now*, without
-    /// flushing: folded stats plus each core's accrued-but-unflushed
-    /// idle under its cached load-stall classification (`owed[i]` is
-    /// nonzero only while `stall[i]` is valid). The telemetry sampler
-    /// reads this mid-run, where a flush would perturb nothing but
-    /// costs a pass over the cold core structs.
-    fn effective_load_stalls(&self) -> u64 {
-        let mut total: u64 = self.cores.iter().map(|c| c.stats().load_stall_cycles).sum();
-        for i in 0..self.cores.len() {
-            if self.stall[i] & 1 != 0 {
-                total += self.owed[i];
-            }
-        }
-        total
+    /// Aggregate ROB-head load-stall cycles: flushes every core's
+    /// accrued idle, then sums the core stats. Exact at any point
+    /// between engine runs — `apply_idle` is linear and a flush keeps
+    /// each cached classification.
+    fn load_stall_cycles(&mut self) -> u64 {
+        self.flush_all();
+        self.cores.iter().map(|c| c.stats().load_stall_cycles).sum()
     }
 
     /// Flushes and marks core `i`'s classification stale — required
@@ -352,27 +345,15 @@ pub struct System {
     /// Speculative requests dropped because no MSHR was free.
     spec_dropped: u64,
 
-    /// Sim-time gauge sampler; `None` (the default) costs the step loop
-    /// exactly one predicted branch per cycle (the `telemetry_next`
-    /// compare), like the phase profiler.
+    /// Sim-time gauge sampler; `None` by default. Only [`System::run`]
+    /// reads it, between engine runs.
     telemetry: Option<Box<TelemetrySampler>>,
-    /// Measured cycle of the next telemetry sample, `u64::MAX` while
-    /// telemetry is off — the hot loops compare against this and never
-    /// touch the sampler.
-    telemetry_next: u64,
     /// Per-channel (columns, row hits) at telemetry enable/reset.
     /// Channel counters are monotone across `reset_stats` (the drain
     /// fast-path watches them), so samples difference against this base.
     telemetry_dram_base: Vec<(u64, u64)>,
     /// Scratch for channel-activity snapshots.
     telemetry_dram_scratch: Vec<(u64, u64)>,
-    /// Fast-forward idle cycles observed in the current quiet span but
-    /// not yet accrued to the cores (telemetry only; 0 outside a span).
-    ff_idle: u64,
-    /// How many cores are in a ROB-head load stall for the current
-    /// quiet span (telemetry only; classifications are frozen within a
-    /// span, so this is constant across it).
-    ff_stall_rate: u64,
     /// Full-region retries currently parked by the *cycle* engine (each
     /// is an individually scheduled [`Pending::StormRetryOne`]); the
     /// event engine derives the same gauge from its batches.
@@ -435,11 +416,8 @@ impl System {
             measured_cycles: 0,
             spec_dropped: 0,
             telemetry: None,
-            telemetry_next: u64::MAX,
             telemetry_dram_base: Vec::new(),
             telemetry_dram_scratch: Vec::new(),
-            ff_idle: 0,
-            ff_stall_rate: 0,
             storm_parked: 0,
             scratch_requests: Vec::new(),
             scratch_writebacks: Vec::new(),
@@ -512,10 +490,8 @@ impl System {
         self.telemetry_dram_scratch = act;
     }
 
-    /// Captures one telemetry point at the current measured cycle.
-    /// Off the hot path: reached only when `measured_cycles` hits
-    /// `telemetry_next` (at most once per stride).
-    #[cold]
+    /// Captures one telemetry point at the current measured cycle (the
+    /// sampler's next due cycle), between engine runs.
     fn telemetry_capture(&mut self) {
         let Some(mut sampler) = self.telemetry.take() else {
             return;
@@ -564,14 +540,9 @@ impl System {
                 + self.traffic.full_region_reads,
             prefetch_useful: self.llc.stats().prefetch_useful(),
             storm_parked,
-            // Cores frozen mid-span have this span's stall charge
-            // pending in `ff_idle`; integrate it so samples inside a
-            // fast-forwarded null span match the oracle's per-cycle
-            // accounting exactly.
-            load_stall_cycles: self.bank.effective_load_stalls()
-                + self.ff_idle * self.ff_stall_rate,
+            load_stall_cycles: self.bank.load_stall_cycles(),
         };
-        self.telemetry_next = sampler.record(point);
+        sampler.record(point);
         self.telemetry = Some(sampler);
     }
 
@@ -1104,7 +1075,7 @@ impl System {
         self.phase.enter(Phase::LlcPump);
         self.process_llc_events();
         self.phase.exit();
-        self.end_cycle();
+        self.now += 1;
     }
 
     /// One cycle of the quiet span in which — as established by
@@ -1118,32 +1089,47 @@ impl System {
         self.drain_dram_queue();
         self.tick_dram();
         self.process_llc_events();
-        self.end_cycle();
-    }
-
-    /// Takes the end-of-cycle telemetry sample, if one is due, and
-    /// advances the clock.
-    fn end_cycle(&mut self) {
-        // One predicted compare (`telemetry_next` is `u64::MAX` while
-        // telemetry is off).
-        if self.measured_cycles == self.telemetry_next {
-            self.telemetry_capture();
-        }
         self.now += 1;
     }
 
     /// Runs until `instructions` have retired in the measurement window
     /// or `max_cycles` elapse, under the configured [`Engine`]. Returns
     /// (instructions, cycles) measured — identical for both engines.
+    ///
+    /// The only code that knows when a telemetry sample is due: each
+    /// engine run's cycle budget ends at the next sample instant, and
+    /// the sample is taken between runs. An engine run can stop at any
+    /// cycle and resume (with a full step) without changing the
+    /// simulation, so every sample sees a fully accounted state.
     pub fn run(&mut self, instructions: u64, max_cycles: u64) -> (u64, u64) {
-        match self.cfg.engine {
-            Engine::Cycle => self.run_cycle(instructions, max_cycles),
-            Engine::Event => self.run_event(instructions, max_cycles),
+        let start_instr = self.measured_instructions;
+        let start_cycles = self.measured_cycles;
+        loop {
+            let retired = self.measured_instructions - start_instr;
+            let elapsed = self.measured_cycles - start_cycles;
+            if retired >= instructions || elapsed >= max_cycles {
+                return (retired, elapsed);
+            }
+            let mut budget = max_cycles - elapsed;
+            if let Some(t) = &self.telemetry {
+                budget = budget.min(t.next_at() - self.measured_cycles);
+            }
+            match self.cfg.engine {
+                Engine::Cycle => self.run_cycle(instructions - retired, budget),
+                Engine::Event => self.run_event(instructions - retired, budget),
+            }
+            if self
+                .telemetry
+                .as_ref()
+                .is_some_and(|t| t.next_at() == self.measured_cycles)
+            {
+                self.telemetry_capture();
+            }
         }
     }
 
     /// The cycle-accurate oracle loop: one [`System::step`] per cycle.
-    fn run_cycle(&mut self, instructions: u64, max_cycles: u64) -> (u64, u64) {
+    fn run_cycle(&mut self, instructions: u64, max_cycles: u64) {
         let start_instr = self.measured_instructions;
         let start_cycles = self.measured_cycles;
         while self.measured_instructions - start_instr < instructions
@@ -1151,10 +1137,6 @@ impl System {
         {
             self.step();
         }
-        (
-            self.measured_instructions - start_instr,
-            self.measured_cycles - start_cycles,
-        )
     }
 
     /// The event-driven loop: after every real step, fast-forward
@@ -1162,7 +1144,7 @@ impl System {
     /// blocked or waiting for a future cycle, no response due — running
     /// only the cycles that have uncore work and skipping the rest in
     /// bulk.
-    fn run_event(&mut self, instructions: u64, max_cycles: u64) -> (u64, u64) {
+    fn run_event(&mut self, instructions: u64, max_cycles: u64) {
         let start_instr = self.measured_instructions;
         let start_cycles = self.measured_cycles;
         while self.measured_instructions - start_instr < instructions
@@ -1176,10 +1158,6 @@ impl System {
             self.fast_forward(start_cycles, max_cycles);
             self.phase.exit();
         }
-        (
-            self.measured_instructions - start_instr,
-            self.measured_cycles - start_cycles,
-        )
     }
 
     /// Advances through the current *quiet span*: the cycles before the
@@ -1196,18 +1174,6 @@ impl System {
         let Some(core_bound) = self.core_quiet_bound() else {
             return;
         };
-        let telemetry_on = self.telemetry.is_some();
-        if telemetry_on {
-            // A sample landing inside this span must charge the cores'
-            // pending per-cycle stall accounting, which is accrued only
-            // at span end. Classifications are frozen across the span
-            // (core_quiet_bound just cached them all and nothing
-            // invalidates them inside the loop), so the charge is
-            // linear: (idle cycles so far) × (cores in a load stall).
-            self.ff_stall_rate = (0..self.bank.len())
-                .filter(|&i| self.bank.stall[i] & 1 != 0)
-                .count() as u64;
-        }
         let mut core_idle_cycles: u64 = 0;
         loop {
             // An uncore step may schedule a response, so the span's end
@@ -1230,16 +1196,13 @@ impl System {
             };
             let n = next.min(limit) - self.now;
             if n > 0 {
-                self.skip_span(n, core_idle_cycles);
+                self.skip_cycles(n);
                 core_idle_cycles += n;
             }
             if next >= limit {
                 break;
             }
             core_idle_cycles += 1;
-            if telemetry_on {
-                self.ff_idle = core_idle_cycles;
-            }
             self.uncore_step();
         }
         if core_idle_cycles > 0 {
@@ -1247,36 +1210,6 @@ impl System {
             // nothing invalidated it inside the span.
             for i in 0..self.bank.len() {
                 self.bank.accrue_idle(i, core_idle_cycles);
-            }
-        }
-        if telemetry_on {
-            // The span's stall charge is in `owed` now.
-            self.ff_idle = 0;
-            self.ff_stall_rate = 0;
-        }
-    }
-
-    /// A telemetry-aware [`System::skip_cycles`]: with telemetry off it
-    /// is exactly the plain bulk skip; with it on, the skip is carved at
-    /// sample boundaries so the gauge series records the same points the
-    /// oracle's per-cycle stepping would — `idle_before` (the span's
-    /// idle cycles before this skip) keeps the integrated core-stall
-    /// charge exact at each carve.
-    fn skip_span(&mut self, n: u64, idle_before: u64) {
-        if self.telemetry.is_none() {
-            self.skip_cycles(n);
-            return;
-        }
-        let mut done = 0;
-        while done < n {
-            // telemetry_next is finite and strictly ahead of
-            // measured_cycles while telemetry is on, so k > 0.
-            let k = (n - done).min(self.telemetry_next - self.measured_cycles);
-            self.skip_cycles(k);
-            done += k;
-            self.ff_idle = idle_before + done;
-            if self.measured_cycles == self.telemetry_next {
-                self.telemetry_capture();
             }
         }
     }
@@ -1394,7 +1327,6 @@ impl System {
 
     /// Produces the final report (finalizes the density profiler).
     pub fn report(&mut self) -> SimReport {
-        self.bank.flush_all();
         self.profiler.finalize();
         // Chip-side parameters are the paper's; the DRAM side is costed
         // under the platform's own constants (MemSpec::energy — the
@@ -1414,12 +1346,7 @@ impl System {
             dram_bytes: dram_energy.accesses() * 64,
             dram: dram_energy,
         };
-        let load_stall_cycles = self
-            .bank
-            .cores
-            .iter()
-            .map(|c| c.stats().load_stall_cycles)
-            .sum();
+        let load_stall_cycles = self.bank.load_stall_cycles();
         SimReport {
             preset: self.cfg.preset,
             workload: self.cfg.workload,

@@ -7,20 +7,19 @@
 //! the aggregate ROB-head load stall — so a run's memory behavior can
 //! be read as a flight recording instead of one end-of-run number.
 //!
-//! Sampling is keyed on the measured-cycle counter at end-of-cycle, so
-//! the cycle-accurate oracle and the event-driven engine observe every
-//! gauge at identical instants and the two series are byte-identical
-//! (`tests/telemetry_equivalence.rs`). The series is bounded: when it
+//! Sampling is keyed on the measured-cycle counter: `System::run` ends
+//! each engine run at the sampler's next due cycle
+//! ([`TelemetrySampler::next_at`]) and takes the sample between runs,
+//! so the cycle-accurate oracle and the event-driven engine observe
+//! every gauge at identical instants, in a fully accounted state, and
+//! the two series are byte-identical (`tests/telemetry_equivalence.rs`).
+//! No engine loop reads the sampler. The series is bounded: when it
 //! outgrows [`MAX_POINTS`], every other point is dropped and the stride
 //! doubles — a deterministic compaction, so the bound never breaks
 //! engine equivalence.
 //!
 //! Snapshots store *cumulative* counters (since the last stats reset),
-//! not per-window deltas: differencing is left to the exporters, which
-//! keeps the sampler trivially correct across fast-forwarded spans —
-//! a skipped window in the event engine freezes every counter except
-//! the integrated core-stall charge, which the system supplies
-//! explicitly (see `System::telemetry_capture`).
+//! not per-window deltas: differencing is left to the exporters.
 
 use crate::json::{field_str, field_u64, reject_unknown_keys, Json};
 use std::fmt::Write as _;

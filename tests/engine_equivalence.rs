@@ -2,7 +2,7 @@
 //! the cycle-accurate oracle *exactly* — every preset, field for field,
 //! down to the energy counters and stall-cycle accounting. This is the
 //! safety harness behind the event-driven `System::run` rewrite: any
-//! horizon (`next_event_at`, `next_wakeup`) that under-approximates
+//! horizon (`next_event_at`, `classify_idle`) that under-approximates
 //! idleness shows up here as a diverging report.
 
 use bump_sim::{

@@ -1,11 +1,12 @@
 //! Differential equivalence for the sim-time telemetry sampler: with
 //! telemetry on, the event-driven engine must emit the *byte-identical*
 //! gauge series the cycle-accurate oracle emits — every sample instant,
-//! every gauge, including samples that land inside fast-forwarded null
-//! spans (where the event engine must integrate bulk-charged stall and
-//! idle accounting across skipped sample boundaries) and inside parked
-//! retry storms (where queue depth and park depth are derived from
-//! coalesced batches instead of per-request events).
+//! every gauge. Samples are taken between engine runs: `System::run`
+//! ends each run at the next sample instant, so an instant that falls
+//! inside what would have been a fast-forwarded quiet span cuts the
+//! span there, and the sample sees the cores' idle cycles already
+//! accrued. Inside parked retry storms, queue depth and park depth are
+//! derived from coalesced batches instead of per-request events.
 
 use bump_bench::experiment::{ExperimentGrid, ExperimentSpec, MetricRow};
 use bump_serve::journal::{cell_identity, cell_key};
@@ -87,10 +88,10 @@ fn workload_slice_emits_identical_series_across_engines() {
 
 #[test]
 fn fine_strides_land_samples_inside_null_spans() {
-    // A small stride forces samples to land inside fast-forwarded
-    // quiet spans (skip_cycles skips, refreshes included), exercising the
-    // span-carving and the integrated stall charge; it also overflows
-    // the point cap, exercising compaction in both engines.
+    // A small stride puts sample instants where the event engine
+    // would otherwise be inside a quiet span (skipped cycles, refreshes
+    // included), so runs stop and resume there; it also overflows the
+    // point cap, exercising compaction in both engines.
     for stride in [64, 257] {
         assert_series_identical(Preset::Bump, Workload::WebSearch, 42, stride);
         assert_series_identical(Preset::FullRegion, Workload::WebSearch, 42, stride);
@@ -103,28 +104,42 @@ fn telemetry_leaves_the_simulation_untouched() {
     // one: strip the instrument fields and compare full Debug renders,
     // then the result row and the serving tier's cell identity (the
     // journal and router-cache key), which must not see instruments.
-    let plain_spec =
-        ExperimentSpec::new(Preset::Bump, Workload::WebSearch, opts(Engine::Event, 42));
-    let inst_spec = ExperimentSpec {
-        instruments: Instruments {
-            profile: true,
-            telemetry: Some(1024),
-        },
-        ..plain_spec.clone()
-    };
-    let plain = plain_spec.run();
-    let mut inst = inst_spec.run();
-    assert!(plain.telemetry.is_none() && plain.phase.is_none());
-    assert!(inst.telemetry.is_some() && inst.phase.is_some());
-    assert_eq!(
-        MetricRow::of(&plain_spec, &plain).to_csv(),
-        MetricRow::of(&inst_spec, &inst).to_csv()
-    );
-    assert_eq!(cell_identity(&plain_spec), cell_identity(&inst_spec));
-    assert_eq!(cell_key(&plain_spec), cell_key(&inst_spec));
-    inst.telemetry = None;
-    inst.phase = None;
-    assert_eq!(format!("{plain:?}"), format!("{inst:?}"));
+    // The engine stops at every sample instant, so the inputs include
+    // storm batches spanning sample instants (Full-region) and a fine
+    // stride that cuts many quiet spans.
+    for (preset, stride) in [
+        (Preset::Bump, 1024),
+        (Preset::FullRegion, 1024),
+        (Preset::Bump, 64),
+    ] {
+        let what = format!("{} x Web Search, stride {stride}", preset.name());
+        let plain_spec = ExperimentSpec::new(preset, Workload::WebSearch, opts(Engine::Event, 42));
+        let inst_spec = ExperimentSpec {
+            instruments: Instruments {
+                profile: true,
+                telemetry: Some(stride),
+            },
+            ..plain_spec.clone()
+        };
+        let plain = plain_spec.run();
+        let mut inst = inst_spec.run();
+        assert!(plain.telemetry.is_none() && plain.phase.is_none(), "{what}");
+        assert!(inst.telemetry.is_some() && inst.phase.is_some(), "{what}");
+        assert_eq!(
+            MetricRow::of(&plain_spec, &plain).to_csv(),
+            MetricRow::of(&inst_spec, &inst).to_csv(),
+            "{what}"
+        );
+        assert_eq!(
+            cell_identity(&plain_spec),
+            cell_identity(&inst_spec),
+            "{what}"
+        );
+        assert_eq!(cell_key(&plain_spec), cell_key(&inst_spec), "{what}");
+        inst.telemetry = None;
+        inst.phase = None;
+        assert_eq!(format!("{plain:?}"), format!("{inst:?}"), "{what}");
+    }
 }
 
 #[test]
