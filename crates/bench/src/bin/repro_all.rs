@@ -17,6 +17,9 @@ use std::time::Instant;
 
 fn main() {
     let args = GridArgs::from_args();
+    if args.smoke {
+        GridArgs::refuse("--smoke applies only to scenarios, not repro_all");
+    }
     let suite = figures::repro_suite();
     let mut grid = ExperimentGrid::new();
     for f in &suite {

@@ -958,8 +958,9 @@ impl SeedSummary {
 
 /// Command-line context shared by every figure binary: scale
 /// (`--quick`/`--full`), worker count (`--threads N`), seed replication
-/// (`--seeds N`), simulation engine (`--engine {cycle,event}`), and
-/// instruments (`--profile`, `--telemetry[=N]`).
+/// (`--seeds N`), simulation engine (`--engine {cycle,event}`),
+/// instruments (`--profile`, `--telemetry[=N]`), and the scenario
+/// sweep's CI-sized slice (`--smoke`).
 #[derive(Clone, Copy, Debug)]
 pub struct GridArgs {
     /// Run scale.
@@ -976,6 +977,9 @@ pub struct GridArgs {
     /// cycles) writes the gauge series as
     /// `results/telemetry_<name>.{csv,json}`.
     pub instruments: Instruments,
+    /// `--smoke`: run the `scenarios` sweep's CI-sized slice. Every
+    /// other target refuses it ([`crate::figures::for_args`]).
+    pub smoke: bool,
 }
 
 /// The flags [`GridArgs::parse`] accepts, for its error message.
@@ -987,16 +991,19 @@ impl GridArgs {
     /// list of valid flags and exits with status 2.
     pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        GridArgs::parse(&args).unwrap_or_else(|e| {
-            eprintln!("error: {e}\nvalid flags: {GRID_FLAGS}");
-            std::process::exit(2);
-        })
+        GridArgs::parse(&args).unwrap_or_else(|e| GridArgs::refuse(&e))
+    }
+
+    /// Prints `error` with the list of valid flags and exits with
+    /// status 2.
+    pub fn refuse(error: &str) -> ! {
+        eprintln!("error: {error}\nvalid flags: {GRID_FLAGS}");
+        std::process::exit(2);
     }
 
     /// Parses a figure binary's arguments (without the program name).
     /// Later flags override earlier ones; an unknown flag or a missing
-    /// or malformed value is an error. `--smoke` is accepted here and
-    /// read by the `scenarios` grid itself.
+    /// or malformed value is an error.
     pub fn parse(args: &[String]) -> Result<GridArgs, String> {
         let mut out = GridArgs {
             scale: Scale::Quick,
@@ -1004,6 +1011,7 @@ impl GridArgs {
             seeds: 1,
             engine: bump_sim::Engine::default(),
             instruments: Instruments::default(),
+            smoke: false,
         };
         let mut it = args.iter();
         while let Some(arg) = it.next() {
@@ -1032,7 +1040,7 @@ impl GridArgs {
                     out.instruments.telemetry = parse_telemetry_flag(std::slice::from_ref(arg))
                         .ok_or("--telemetry expects a positive cycle stride (--telemetry=N)")?;
                 }
-                "--smoke" => {}
+                "--smoke" => out.smoke = true,
                 other => return Err(format!("unknown argument {other:?}")),
             }
         }
@@ -1386,6 +1394,24 @@ mod tests {
         }
         let err = GridArgs::parse(&argv(&["--ful"])).unwrap_err();
         assert!(err.contains("--ful"), "{err}");
+        // `--smoke` selects the scenario sweep's CI slice (2 presets ×
+        // DDR4 + LPDDR4 × one workload at the paper's LLC) and every
+        // other target refuses it.
+        assert!(!GridArgs::parse(&[]).unwrap().smoke);
+        let smoke = GridArgs::parse(&argv(&["--smoke"])).unwrap();
+        assert!(smoke.smoke);
+        let slice = crate::figures::for_args("scenarios", &smoke).unwrap();
+        assert_eq!((slice.grid)(smoke.scale).len(), 4);
+        let plain = GridArgs::parse(&[]).unwrap();
+        let full = crate::figures::for_args("scenarios", &plain).unwrap();
+        assert_eq!((full.grid)(plain.scale).len(), 2 * 3 * 4 * 3);
+        for figure in crate::figures::all() {
+            assert!(crate::figures::for_args(figure.name, &plain).is_ok());
+            if figure.name != "scenarios" {
+                let err = crate::figures::for_args(figure.name, &smoke).unwrap_err();
+                assert!(err.contains("--smoke"), "{err}");
+            }
+        }
     }
 
     #[test]

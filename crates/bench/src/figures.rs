@@ -159,8 +159,8 @@ pub fn all() -> Vec<Figure> {
         Figure {
             name: "scenarios",
             title: "Scenario sweep: preset x memory spec x LLC capacity",
-            grid: scenarios_grid,
-            render: render_scenarios,
+            grid: |s| scenarios_grid(s, false),
+            render: |r| render_scenarios(r, false),
         },
         Figure {
             name: "calibrate",
@@ -186,6 +186,23 @@ pub fn repro_suite() -> Vec<Figure> {
 /// Looks a figure up by output name.
 pub fn by_name(name: &str) -> Option<Figure> {
     all().into_iter().find(|f| f.name == name)
+}
+
+/// The registry entry `name` as `args` select it: `--smoke` picks the
+/// scenario sweep's CI-sized slice (one workload on DDR4 and LPDDR4 at
+/// the paper's LLC) and is an error for every other target. Panics if
+/// `name` is unknown.
+pub fn for_args(name: &str, args: &GridArgs) -> Result<Figure, String> {
+    let figure = by_name(name).unwrap_or_else(|| panic!("unknown figure {name:?}"));
+    match (args.smoke, name) {
+        (false, _) => Ok(figure),
+        (true, "scenarios") => Ok(Figure {
+            grid: |s| scenarios_grid(s, true),
+            render: |r| render_scenarios(r, true),
+            ..figure
+        }),
+        (true, _) => Err(format!("--smoke applies only to scenarios, not {name}")),
+    }
 }
 
 /// Builds, runs, renders, and emits one figure (the body of every thin
@@ -313,10 +330,12 @@ fn render_seed_table(summary: &SeedSummary) -> String {
 }
 
 /// [`run_figure`] for the registry entry called `name`, with arguments
-/// parsed from the command line. Panics if `name` is unknown.
+/// parsed from the command line ([`for_args`]). Panics if `name` is
+/// unknown.
 pub fn run_named(name: &str) {
-    let figure = by_name(name).unwrap_or_else(|| panic!("unknown figure {name:?}"));
-    run_figure(&figure, GridArgs::from_args());
+    let args = GridArgs::from_args();
+    let figure = for_args(name, &args).unwrap_or_else(|e| GridArgs::refuse(&e));
+    run_figure(&figure, args);
 }
 
 const FIG9_PRESETS: [Preset; 4] = [
@@ -1112,13 +1131,6 @@ const SCEN_WORKLOADS: [Workload; 3] = [
 /// stream — the worst case for bulk overfetch.
 const SCEN_LLC_BYTES: [u64; 4] = [4 << 20, 8 << 20, 16 << 20, 512 << 10];
 
-/// Whether the process was asked for the reduced scenario grid
-/// (`--smoke`: one workload on DDR4 and LPDDR4 at the paper's LLC —
-/// the CI-sized slice).
-fn scenarios_smoke() -> bool {
-    std::env::args().any(|a| a == "--smoke")
-}
-
 fn scenario_points(smoke: bool) -> Vec<Scenario> {
     let mut points = Vec::new();
     let mems = if smoke {
@@ -1151,9 +1163,9 @@ fn scenarios_workloads(smoke: bool) -> &'static [Workload] {
     }
 }
 
-fn scenarios_grid(scale: Scale) -> ExperimentGrid {
+/// The scenario sweep's cells; `smoke` selects the CI-sized slice.
+fn scenarios_grid(scale: Scale, smoke: bool) -> ExperimentGrid {
     let opts = scale.options();
-    let smoke = scenarios_smoke();
     let mut grid = ExperimentGrid::new();
     for scenario in scenario_points(smoke) {
         grid.merge(ExperimentGrid::cartesian_scenario(
@@ -1166,8 +1178,7 @@ fn scenarios_grid(scale: Scale) -> ExperimentGrid {
     grid
 }
 
-fn render_scenarios(results: &GridResults) -> String {
-    let smoke = scenarios_smoke();
+fn render_scenarios(results: &GridResults, smoke: bool) -> String {
     let mut t = TextTable::new(&[
         "scenario",
         "Base-open row hit",
@@ -1234,7 +1245,7 @@ mod tests {
 
     #[test]
     fn scenarios_grid_covers_every_platform_point() {
-        let g = scenarios_grid(Scale::Quick);
+        let g = scenarios_grid(Scale::Quick, false);
         // 2 presets × 3 mem specs × 4 LLC points × 3 workloads.
         assert_eq!(g.len(), 2 * 3 * 4 * 3);
         // The sub-MB point is in the full sweep.

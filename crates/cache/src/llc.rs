@@ -21,7 +21,8 @@ use bump_types::{
 pub struct LlcConfig {
     /// Capacity/associativity geometry.
     pub geometry: CacheGeometry,
-    /// Number of banks (low set-index bits select the bank).
+    /// Number of banks, a power of two (low set-index bits select the
+    /// bank).
     pub banks: u32,
     /// Access latency in CPU cycles.
     pub hit_latency: u64,
@@ -272,6 +273,9 @@ impl ClassCounts {
 pub struct Llc {
     config: LlcConfig,
     cache: SetAssocCache<LlcMeta>,
+    /// The block-index bits that select the bank: the low set-index
+    /// bits below `banks`.
+    bank_mask: u64,
     mshrs: FxHashMap<BlockAddr, Mshr>,
     bank_free: Vec<Cycle>,
     stats: LlcStats,
@@ -280,10 +284,20 @@ pub struct Llc {
 
 impl Llc {
     /// Creates an empty LLC.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.banks` is not a power of two.
     pub fn new(config: LlcConfig) -> Self {
+        assert!(
+            config.banks.is_power_of_two(),
+            "{} LLC banks; the bank count must be a power of two",
+            config.banks
+        );
         Llc {
             config,
             cache: SetAssocCache::new(config.geometry),
+            bank_mask: (config.geometry.sets() - 1) & u64::from(config.banks - 1),
             mshrs: FxHashMap::default(),
             bank_free: vec![0; config.banks as usize],
             stats: LlcStats::default(),
@@ -299,7 +313,7 @@ impl Llc {
     /// The bank `block` maps to (exposed for the retry coalescer's
     /// per-bank occupancy replay).
     pub fn bank_of(&self, block: BlockAddr) -> usize {
-        (self.config.geometry.set_of(block) % u64::from(self.config.banks)) as usize
+        (block.index() & self.bank_mask) as usize
     }
 
     /// Number of banks (the length a per-bank count array must have).
@@ -856,6 +870,35 @@ mod tests {
         let fill = llc.fill(b(2), 6);
         assert!(fill.writeback.is_none());
         assert!(!llc.contains(b(0)), "block 0 should have been evicted");
+    }
+
+    #[test]
+    fn bank_is_the_set_index_modulo_the_bank_count() {
+        for (bytes, banks) in [(4 << 20, 8), (2 * 64, 8), (512 << 10, 2), (64 << 10, 1)] {
+            let geometry = CacheGeometry::new(bytes, 16.min((bytes / 64) as u32));
+            let llc = Llc::new(LlcConfig {
+                geometry,
+                banks,
+                ..LlcConfig::paper()
+            });
+            for i in (0..5000).chain([u64::MAX >> 20]) {
+                let set = i % geometry.sets();
+                assert_eq!(
+                    llc.bank_of(b(i)) as u64,
+                    set % u64::from(banks),
+                    "block {i}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn non_power_of_two_bank_count_is_refused() {
+        Llc::new(LlcConfig {
+            banks: 6,
+            ..LlcConfig::paper()
+        });
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use bump_types::{BlockAddr, CacheGeometry};
 
 /// One resident cache line with user metadata `M`.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Line<M> {
     /// The block held by this line.
     pub block: BlockAddr,
@@ -11,31 +11,39 @@ pub struct Line<M> {
     pub meta: M,
 }
 
-#[derive(Clone, Debug)]
-struct Set<M> {
-    /// Resident lines, most-recently-used first.
-    lines: Vec<Line<M>>,
-}
-
 /// A set-associative cache tag store with true-LRU replacement.
 ///
 /// Holds tags and caller metadata only — data payloads are not simulated.
-/// All operations are O(associativity).
+/// All lines live in one flat array, `ways` slots per set; the first
+/// `fill[set]` slots of a set hold its resident lines, most-recently-used
+/// first. All operations are O(associativity).
 #[derive(Clone, Debug)]
 pub struct SetAssocCache<M> {
     geometry: CacheGeometry,
-    sets: Vec<Set<M>>,
+    ways: usize,
+    /// `sets - 1` (the set count is a power of two).
+    set_mask: u64,
+    lines: Vec<Line<M>>,
+    /// Resident lines per set.
+    fill: Vec<u32>,
 }
 
-impl<M> SetAssocCache<M> {
+impl<M: Copy + Default> SetAssocCache<M> {
     /// Creates an empty cache with the given geometry.
     pub fn new(geometry: CacheGeometry) -> Self {
-        let sets = (0..geometry.sets())
-            .map(|_| Set {
-                lines: Vec::with_capacity(geometry.ways as usize),
-            })
-            .collect();
-        SetAssocCache { geometry, sets }
+        let sets = geometry.sets() as usize;
+        let ways = geometry.ways as usize;
+        let empty = Line {
+            block: BlockAddr::from_index(0),
+            meta: M::default(),
+        };
+        SetAssocCache {
+            geometry,
+            ways,
+            set_mask: geometry.sets() - 1,
+            lines: vec![empty; sets * ways],
+            fill: vec![0; sets],
+        }
     }
 
     /// The cache geometry.
@@ -44,31 +52,44 @@ impl<M> SetAssocCache<M> {
     }
 
     fn set_of(&self, block: BlockAddr) -> usize {
-        self.geometry.set_of(block) as usize
+        (block.index() & self.set_mask) as usize
+    }
+
+    /// The flat-array range of `block`'s set holding its resident lines.
+    fn resident(&self, block: BlockAddr) -> std::ops::Range<usize> {
+        let s = self.set_of(block);
+        let base = s * self.ways;
+        base..base + self.fill[s] as usize
+    }
+
+    /// The flat-array index of `block`, if resident.
+    fn find(&self, block: BlockAddr) -> Option<usize> {
+        let range = self.resident(block);
+        let base = range.start;
+        self.lines[range]
+            .iter()
+            .position(|l| l.block == block)
+            .map(|i| base + i)
     }
 
     /// Looks up `block` without updating recency.
     pub fn probe(&self, block: BlockAddr) -> Option<&Line<M>> {
-        self.sets[self.set_of(block)]
-            .lines
-            .iter()
-            .find(|l| l.block == block)
+        self.find(block).map(|i| &self.lines[i])
     }
 
     /// Mutable lookup without updating recency.
     pub fn probe_mut(&mut self, block: BlockAddr) -> Option<&mut Line<M>> {
-        let s = self.set_of(block);
-        self.sets[s].lines.iter_mut().find(|l| l.block == block)
+        self.find(block).map(|i| &mut self.lines[i])
     }
 
     /// Looks up `block`, promoting it to MRU on a hit. Returns the line.
     pub fn touch(&mut self, block: BlockAddr) -> Option<&mut Line<M>> {
-        let s = self.set_of(block);
-        let lines = &mut self.sets[s].lines;
-        let pos = lines.iter().position(|l| l.block == block)?;
-        let line = lines.remove(pos);
-        lines.insert(0, line);
-        Some(&mut lines[0])
+        let i = self.find(block)?;
+        let mru = self.set_of(block) * self.ways;
+        let line = self.lines[i];
+        self.lines.copy_within(mru..i, mru + 1);
+        self.lines[mru] = line;
+        Some(&mut self.lines[mru])
     }
 
     /// Inserts `block` as MRU. If the set is full, the LRU line is
@@ -79,45 +100,46 @@ impl<M> SetAssocCache<M> {
     ///
     /// Panics if `block` is already resident (a coherence bug).
     pub fn insert(&mut self, block: BlockAddr, meta: M) -> Option<Line<M>> {
-        let ways = self.geometry.ways as usize;
-        let s = self.set_of(block);
-        let lines = &mut self.sets[s].lines;
         assert!(
-            !lines.iter().any(|l| l.block == block),
+            self.find(block).is_none(),
             "double-insert of resident block {block:?}"
         );
-        let victim = if lines.len() == ways {
-            lines.pop()
+        let s = self.set_of(block);
+        let mru = s * self.ways;
+        let fill = self.fill[s] as usize;
+        let victim = if fill == self.ways {
+            Some(self.lines[mru + fill - 1])
         } else {
+            self.fill[s] += 1;
             None
         };
-        lines.insert(0, Line { block, meta });
+        let kept = fill.min(self.ways - 1);
+        self.lines.copy_within(mru..mru + kept, mru + 1);
+        self.lines[mru] = Line { block, meta };
         victim
     }
 
     /// Removes `block` if resident and returns it.
     pub fn invalidate(&mut self, block: BlockAddr) -> Option<Line<M>> {
+        let i = self.find(block)?;
         let s = self.set_of(block);
-        let lines = &mut self.sets[s].lines;
-        let pos = lines.iter().position(|l| l.block == block)?;
-        Some(lines.remove(pos))
+        let end = s * self.ways + self.fill[s] as usize;
+        let line = self.lines[i];
+        self.lines.copy_within(i + 1..end, i);
+        self.fill[s] -= 1;
+        Some(line)
     }
 
     /// The line that [`insert`](Self::insert) would evict for `block`,
     /// if the set is full.
     pub fn victim_for(&self, block: BlockAddr) -> Option<&Line<M>> {
-        let s = self.set_of(block);
-        let lines = &self.sets[s].lines;
-        if lines.len() == self.geometry.ways as usize {
-            lines.last()
-        } else {
-            None
-        }
+        let range = self.resident(block);
+        (range.len() == self.ways).then(|| &self.lines[range.end - 1])
     }
 
     /// Number of resident lines.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(|s| s.lines.len()).sum()
+        self.fill.iter().map(|&n| n as usize).sum()
     }
 
     /// Whether the cache holds no lines.
@@ -127,12 +149,15 @@ impl<M> SetAssocCache<M> {
 
     /// Iterates over all resident lines (set by set, MRU first).
     pub fn iter(&self) -> impl Iterator<Item = &Line<M>> {
-        self.sets.iter().flat_map(|s| s.lines.iter())
+        self.lines
+            .chunks_exact(self.ways)
+            .zip(&self.fill)
+            .flat_map(|(set, &n)| &set[..n as usize])
     }
 
     /// Lines resident in the set that holds `block` (MRU first).
     pub fn set_lines(&self, block: BlockAddr) -> &[Line<M>] {
-        &self.sets[self.set_of(block)].lines
+        &self.lines[self.resident(block)]
     }
 }
 

@@ -113,13 +113,21 @@ pub struct LeanCore {
     /// Highest load sequence number whose data has returned; dependent
     /// loads wait until their predecessor's seq is complete.
     completed_load_seq: u64,
-    /// Completion bookkeeping for out-of-order load returns.
-    load_done: FxHashMap<u64, bool>,
+    /// Out-of-order load returns: bit `i` is set once load
+    /// `completed_load_seq + 1 + i` is done. Every load past
+    /// `completed_load_seq` is still in the ROB, so `rob_entries <= 64`
+    /// bits suffice.
+    load_done: u64,
+    /// ROB id of the ROB head: entries are numbered in dispatch order,
+    /// so the entry with id `n` sits at index `n - rob_head_id`.
+    rob_head_id: u64,
+    /// The ROB's `NotIssued` loads as `(load seq, ROB id)`, oldest
+    /// first. None of them is done, so only one with
+    /// `seq == completed_load_seq + 1` can be ready, and that one is
+    /// the front.
+    deferred: VecDeque<(u64, u64)>,
     /// A fetched instruction that could not be dispatched yet.
     pending_dispatch: Option<Instr>,
-    /// Number of `NotIssued` entries in the ROB (kept so the wakeup
-    /// probe can skip the ROB scan in the common case).
-    deferred_loads: u32,
     /// Remaining count of a partially dispatched compute batch.
     compute_backlog: u32,
     stats: CoreStats,
@@ -128,7 +136,17 @@ pub struct LeanCore {
 
 impl LeanCore {
     /// Creates a core with the given parameters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ROB has more than 64 entries (the in-flight load
+    /// completions are kept in a `u64` bitset).
     pub fn new(id: CoreId, params: CoreParams) -> Self {
+        assert!(
+            params.rob_entries <= 64,
+            "{} ROB entries; the core supports at most 64",
+            params.rob_entries
+        );
         LeanCore {
             id,
             params,
@@ -137,9 +155,10 @@ impl LeanCore {
             store_buffer_used: 0,
             last_load_seq: 0,
             completed_load_seq: 0,
-            load_done: FxHashMap::default(),
+            load_done: 0,
+            rob_head_id: 0,
+            deferred: VecDeque::new(),
             pending_dispatch: None,
-            deferred_loads: 0,
             compute_backlog: 0,
             stats: CoreStats::default(),
             stream_done: false,
@@ -245,15 +264,8 @@ impl LeanCore {
         // completed — but predecessors complete (and MSHRs free up) only
         // on a memory response, so this can flip mid-window only via an
         // event the system already tracks.
-        if self.deferred_loads > 0 && self.outstanding.len() < self.params.l1_mshrs as usize {
-            for e in &self.rob {
-                if matches!(e.slot, RobSlot::NotIssued { .. }) {
-                    let seq = e.load_seq.expect("NotIssued entries are loads");
-                    if self.completed_load_seq >= seq - 1 {
-                        return CoreWakeup::Busy;
-                    }
-                }
-            }
+        if self.issuable_deferred().is_some() {
+            return CoreWakeup::Busy;
         }
         match self.rob.front() {
             Some(RobEntry {
@@ -262,6 +274,16 @@ impl LeanCore {
             }) => CoreWakeup::At(*at),
             _ => CoreWakeup::Blocked,
         }
+    }
+
+    /// The ROB index of the deferred load the next tick issues, if any:
+    /// the oldest one, once its predecessor has completed and an L1
+    /// MSHR is free.
+    fn issuable_deferred(&self) -> Option<usize> {
+        let &(seq, id) = self.deferred.front()?;
+        (self.completed_load_seq >= seq - 1
+            && self.outstanding.len() < self.params.l1_mshrs as usize)
+            .then(|| (id - self.rob_head_id) as usize)
     }
 
     /// Whether a parked store at the dispatch head still cannot
@@ -309,7 +331,8 @@ impl LeanCore {
                 e.slot = RobSlot::Ready { at: now };
                 rob_waiters += 1;
                 if let Some(seq) = e.load_seq {
-                    self.load_done.insert(seq, true);
+                    // Inline `mark_load_done`: the loop borrows the ROB.
+                    self.load_done |= 1 << (seq - self.completed_load_seq - 1);
                 }
             }
         }
@@ -320,16 +343,15 @@ impl LeanCore {
         true
     }
 
+    /// Marks load `seq` done; it must be past `completed_load_seq`.
+    fn mark_load_done(&mut self, seq: u64) {
+        self.load_done |= 1 << (seq - self.completed_load_seq - 1);
+    }
+
     fn advance_completed_seq(&mut self) {
-        while self
-            .load_done
-            .get(&(self.completed_load_seq + 1))
-            .copied()
-            .unwrap_or(false)
-        {
-            self.completed_load_seq += 1;
-            self.load_done.remove(&self.completed_load_seq);
-        }
+        let done = self.load_done.trailing_ones();
+        self.completed_load_seq += u64::from(done);
+        self.load_done = self.load_done.checked_shr(done).unwrap_or(0);
     }
 
     /// Advances the core by one cycle: retire, issue, dispatch.
@@ -363,6 +385,7 @@ impl LeanCore {
                     ..
                 }) if *at <= now => {
                     self.rob.pop_front();
+                    self.rob_head_id += 1;
                     self.stats.retired += 1;
                     retired += 1;
                 }
@@ -389,36 +412,28 @@ impl LeanCore {
         requests: &mut Vec<PendingAccess>,
         writebacks: &mut Vec<BlockAddr>,
     ) {
-        if self.deferred_loads == 0 {
+        // At most one deferred load is ready per cycle: the oldest, whose
+        // predecessor completed. A load it completes (an L1 hit) must not
+        // cascade its dependents into the same cycle, and does not.
+        let Some(i) = self.issuable_deferred() else {
             return;
-        }
-        // Readiness is judged against the completed sequence as of the
-        // start of the pass: a load completing during the pass (an L1
-        // hit) must not cascade its dependents into the same cycle.
-        let completed_at_start = self.completed_load_seq;
-        for i in 0..self.rob.len() {
-            if self.outstanding.len() >= self.params.l1_mshrs as usize {
-                break;
-            }
-            let RobSlot::NotIssued { instr } = self.rob[i].slot else {
-                continue;
-            };
-            let seq = self.rob[i].load_seq.expect("NotIssued entries are loads");
-            if completed_at_start < seq - 1 {
-                continue;
-            }
-            let Instr::Load { block, pc, .. } = instr else {
-                unreachable!("only loads defer issue")
-            };
-            let slot = self.issue_load(block, pc, now, l1, requests, writebacks);
-            self.rob[i].slot = slot;
-            self.deferred_loads -= 1;
-            if let RobSlot::Ready { .. } = self.rob[i].slot {
-                if let Some(seq) = self.rob[i].load_seq {
-                    self.load_done.insert(seq, true);
-                    self.advance_completed_seq();
-                }
-            }
+        };
+        self.deferred.pop_front();
+        let RobEntry {
+            slot: RobSlot::NotIssued { instr },
+            load_seq: Some(seq),
+        } = self.rob[i]
+        else {
+            unreachable!("the deferred index points at a NotIssued load")
+        };
+        let Instr::Load { block, pc, .. } = instr else {
+            unreachable!("only loads defer issue")
+        };
+        let slot = self.issue_load(block, pc, now, l1, requests, writebacks);
+        self.rob[i].slot = slot;
+        if let RobSlot::Ready { .. } = slot {
+            self.mark_load_done(seq);
+            self.advance_completed_seq();
         }
     }
 
@@ -505,11 +520,12 @@ impl LeanCore {
                     let slot = if can_issue {
                         let s = self.issue_load(block, pc, now, l1, requests, writebacks);
                         if let RobSlot::Ready { .. } = s {
-                            self.load_done.insert(seq, true);
+                            self.mark_load_done(seq);
                         }
                         s
                     } else {
-                        self.deferred_loads += 1;
+                        let rob_id = self.rob_head_id + self.rob.len() as u64;
+                        self.deferred.push_back((seq, rob_id));
                         RobSlot::NotIssued {
                             instr: Instr::Load { block, pc, dep },
                         }
@@ -753,3 +769,6 @@ mod tests {
         assert!(core.drained());
     }
 }
+
+#[cfg(test)]
+mod reference;

@@ -227,6 +227,9 @@ pub struct Channel {
     read_capacity: usize,
     banks: Vec<Bank>,
     ranks: Vec<RankTimer>,
+    /// The rank of each channel-local bank (`bank / banks_per_rank`,
+    /// tabulated once: the scheduler asks per occupied bank).
+    bank_rank: Vec<usize>,
     read_queue: TxnQueue,
     write_queue: TxnQueue,
     in_flight: Vec<InFlight>,
@@ -293,6 +296,9 @@ impl Channel {
             read_capacity,
             banks: vec![Bank::new(); bank_count],
             ranks,
+            bank_rank: (0..bank_count)
+                .map(|b| b / geom.banks_per_rank as usize)
+                .collect(),
             read_queue: TxnQueue::new(bank_count),
             write_queue: TxnQueue::new(bank_count),
             in_flight: Vec::new(),
@@ -314,7 +320,7 @@ impl Channel {
 
     /// The rank holding channel-local bank `bank`.
     fn rank_of(&self, bank: usize) -> &RankTimer {
-        &self.ranks[bank / self.geom.banks_per_rank as usize]
+        &self.ranks[self.bank_rank[bank]]
     }
 
     /// Whether the queue for `is_write` traffic has room.

@@ -109,11 +109,6 @@ impl CacheGeometry {
     pub fn blocks(self) -> u64 {
         self.capacity_bytes / BLOCK_BYTES
     }
-
-    /// Set index for a block address.
-    pub fn set_of(self, block: BlockAddr) -> u64 {
-        block.index() & (self.sets() - 1)
-    }
 }
 
 /// DRAM channel/rank/bank geometry (paper Table II: 16GB, 2 channels,
