@@ -2,10 +2,13 @@
 //! and the sim-time telemetry sampler: each must be free when nobody
 //! asks for it and cheap when somebody does.
 //!
-//! Every hot engine loop calls `PhaseProfiler::enter`/`exit` and
-//! consults the telemetry sampler; with the instruments off that is one
-//! `enabled` branch and one stride check against a sentinel that never
-//! fires. This harness measures the paper's most expensive cell
+//! Every hot engine loop calls `PhaseProfiler::enter`/`exit`; with the
+//! profiler off that is one `enabled` branch. No engine loop consults
+//! the telemetry sampler: `System::run` ends each engine run's cycle
+//! budget at the next sample instant and takes the sample between runs,
+//! so telemetry costs the extra engine runs (each resumes with a full
+//! step) plus the samples, and nothing with telemetry off. This harness
+//! measures the paper's most expensive cell
 //! (Full-region, 16 cores, 4MB LLC — the worst case for per-lap
 //! overhead) in four arms:
 //!

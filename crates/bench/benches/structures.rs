@@ -1,13 +1,17 @@
 //! Criterion micro-benchmarks of the predictor structures: the RDTT
 //! path, BHT/DRT probes, SMS, and the stride table. These bound the
 //! per-LLC-event cost of each mechanism (the hardware equivalent is a
-//! few picojoules per lookup — §V.F).
+//! few picojoules per lookup — §V.F). Two substrates every cell ticks
+//! ride along: the LLC access/drain path and the DRAM channel's FR-FCFS
+//! scheduler.
 
 use bump::{Bump, BumpConfig};
 use bump_cache::{Llc, LlcConfig};
+use bump_dram::{AddressMapper, Channel, RowPolicy, Transaction, TransactionId, WriteQueueConfig};
 use bump_prefetch::{Prefetcher, SmsPrefetcher, StridePrefetcher};
 use bump_types::{
-    AccessKind, AssocTable, BlockAddr, MemoryRequest, Pc, RegionAddr, RegionConfig, TrafficClass,
+    AccessKind, AssocTable, BlockAddr, Interleaving, MemSpec, MemoryRequest, Pc, RegionAddr,
+    RegionConfig, TrafficClass,
 };
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -147,9 +151,67 @@ fn bench_llc_pump(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_dram_channel(c: &mut Criterion) {
+    // Seeded random traffic through one `ddr3_1600` channel under region
+    // interleaving: blocks near a few hot anchors share rows (hits) and
+    // different anchors collide in banks (conflicts); a third are
+    // writebacks and half the reads speculative. One iteration is 64
+    // memory cycles of arrivals (refused when a queue is full) and
+    // `Channel::tick_event`, so it times the scheduler's scan and pick
+    // together with the quiet ticks its horizon skips.
+    let spec = MemSpec::ddr3_1600();
+    let mapper = AddressMapper::new(spec.geometry, Interleaving::Region);
+    let mut g = c.benchmark_group("dram_channel");
+    g.bench_function("tick_event_random_traffic", |b| {
+        let mut ch = Channel::new(
+            spec.geometry,
+            spec.timing,
+            RowPolicy::Open,
+            WriteQueueConfig::default(),
+            64,
+            100,
+            false,
+        );
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut rand = move || {
+            // xorshift64*
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        };
+        let anchors: Vec<u64> = (0..16).map(|_| rand() % (1 << 22)).collect();
+        let (mut now, mut id, mut done) = (0u64, 0u64, Vec::new());
+        b.iter(|| {
+            for _ in 0..64 {
+                let r = rand();
+                if r % 5 == 0 {
+                    let block =
+                        BlockAddr::from_index(anchors[(r >> 8) as usize % 16] + (r >> 16) % 32);
+                    let txn = match (r >> 32) % 6 {
+                        0 | 1 => Transaction::write(block, TrafficClass::DemandWriteback, 0),
+                        2 | 3 => Transaction::read(block, TrafficClass::Demand, 0),
+                        _ => Transaction::read(block, TrafficClass::BulkRead, 0),
+                    };
+                    if ch.has_room(txn.is_write) {
+                        id += 1;
+                        ch.enqueue(TransactionId(id), txn, mapper.decode(block), now);
+                    }
+                }
+                ch.tick_event(now, &mut done);
+                now += 1;
+            }
+            black_box(done.len());
+            done.clear();
+        });
+    });
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_bump_engine, bench_prefetchers, bench_assoc_table, bench_llc_pump
+    targets = bench_bump_engine, bench_prefetchers, bench_assoc_table, bench_llc_pump,
+        bench_dram_channel
 }
 criterion_main!(benches);

@@ -1214,19 +1214,65 @@ fn render_scenarios(results: &GridResults, smoke: bool) -> String {
             format!("{:+.1}%", 100.0 * (energy - 1.0)),
         ]);
     }
-    let mut out = String::from(
-        "Scenario sweep — BuMP vs the open-row baseline across memory\n\
-         specs (DDR3-1600 / DDR4-2400 / LPDDR4-3200) and LLC capacities\n\
-         (512KB to 16MB), averaged over Web Search, Data Serving,\n\
-         Media Streaming. The paper's platform is ddr3_1600 at llc4m.\n\n",
-    );
+    let mut out = scenarios_header(smoke);
     out.push_str(&t.render());
     out
+}
+
+/// The sweep's header: the memory specs, LLC capacities and workloads
+/// of exactly the points `smoke` selects.
+fn scenarios_header(smoke: bool) -> String {
+    let points = scenario_points(smoke);
+    let mut mems: Vec<String> = Vec::new();
+    for p in &points {
+        let mem = p.mem.name.to_uppercase().replace('_', "-");
+        if !mems.contains(&mem) {
+            mems.push(mem);
+        }
+    }
+    let caps = points.iter().map(|p| {
+        p.llc_capacity
+            .expect("every scenario point sets an LLC capacity")
+    });
+    let (lo, hi) = (caps.clone().min(), caps.max());
+    let size = |bytes: u64| match bytes {
+        b if b.is_multiple_of(1 << 20) => format!("{}MB", b >> 20),
+        b => format!("{}KB", b >> 10),
+    };
+    let llc = match (lo, hi) {
+        (Some(lo), Some(hi)) if lo != hi => format!("{} to {}", size(lo), size(hi)),
+        (lo, _) => size(lo.expect("the sweep has at least one point")),
+    };
+    let workloads: Vec<&str> = scenarios_workloads(smoke)
+        .iter()
+        .map(|w| w.name())
+        .collect();
+    format!(
+        "Scenario sweep — BuMP vs the open-row baseline.\n\
+         Memory specs: {}\n\
+         LLC capacities: {llc}\n\
+         Averaged over: {}\n\
+         The paper's platform is ddr3_1600 at llc4m.\n\n",
+        mems.join(" / "),
+        workloads.join(", "),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scenarios_header_names_what_the_slice_runs() {
+        let full = scenarios_header(false);
+        assert!(full.contains("Memory specs: DDR3-1600 / DDR4-2400 / LPDDR4-3200\n"));
+        assert!(full.contains("LLC capacities: 512KB to 16MB\n"));
+        assert!(full.contains("Averaged over: Web Search, Data Serving, Media Streaming\n"));
+        let smoke = scenarios_header(true);
+        assert!(smoke.contains("Memory specs: DDR4-2400 / LPDDR4-3200\n"));
+        assert!(smoke.contains("LLC capacities: 4MB\n"));
+        assert!(smoke.contains("Averaged over: Web Search\n"));
+    }
 
     #[test]
     fn registry_names_are_unique() {

@@ -6,7 +6,6 @@
 //! [`crate::channel`] consults both before issuing any command.
 
 use bump_types::{DramTiming, MemCycle};
-use std::collections::VecDeque;
 
 /// DDR3 command classes the model issues.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -199,10 +198,16 @@ impl Bank {
 /// write-to-read turnaround, and refresh scheduling.
 #[derive(Clone, Debug)]
 pub struct RankTimer {
-    /// Issue times of recent ACTs (at most 4 retained) for tFAW.
-    act_window: VecDeque<MemCycle>,
+    /// Issue times of the last four ACTs for tFAW, a ring whose oldest
+    /// entry is at `act_next` once `acts` reaches 4.
+    act_window: [MemCycle; 4],
+    act_next: usize,
+    acts: u32,
     /// Earliest next ACT due to tRRD.
     earliest_act: MemCycle,
+    /// Earliest next ACT due to tRRD and tFAW together, kept at each
+    /// ACT so the scheduler reads one field.
+    act_ready: MemCycle,
     /// Earliest read column command due to tWTR after a write burst.
     earliest_read_col: MemCycle,
     /// When the next refresh falls due.
@@ -219,8 +224,11 @@ impl RankTimer {
     /// `first_refresh` (staggered across ranks by the channel).
     pub fn new(first_refresh: MemCycle) -> Self {
         RankTimer {
-            act_window: VecDeque::with_capacity(4),
+            act_window: [0; 4],
+            act_next: 0,
+            acts: 0,
             earliest_act: 0,
+            act_ready: 0,
             earliest_read_col: 0,
             refresh_due: first_refresh,
             refresh_until: None,
@@ -228,35 +236,38 @@ impl RankTimer {
         }
     }
 
-    /// Whether rank-level constraints allow an ACT at `now`.
-    pub fn can_activate(&self, now: MemCycle, t: &DramTiming) -> bool {
-        if now < self.earliest_act || self.refreshing(now) || self.refresh_pending(now) {
-            return false;
-        }
-        if self.act_window.len() == 4 {
-            // Fifth ACT must be at least tFAW after the fourth-last.
-            if now < self.act_window[0] + t.t_faw {
-                return false;
-            }
-        }
-        true
+    /// Whether rank-level constraints allow an ACT at `now`. The
+    /// scheduler's scan reads the same gate as thresholds
+    /// ([`RankTimer::earliest_activate`] and the refresh state); this
+    /// predicate is the reference its tests check them against.
+    #[cfg(test)]
+    pub fn can_activate(&self, now: MemCycle) -> bool {
+        now >= self.act_ready && !self.refreshing(now) && !self.refresh_pending(now)
     }
 
     /// Records an ACT at `now`.
     pub fn record_activate(&mut self, now: MemCycle, t: &DramTiming) {
-        if self.act_window.len() == 4 {
-            self.act_window.pop_front();
-        }
-        self.act_window.push_back(now);
+        self.act_window[self.act_next] = now;
+        self.act_next = (self.act_next + 1) % 4;
+        self.acts = (self.acts + 1).min(4);
         self.earliest_act = self.earliest_act.max(now + t.t_rrd);
+        self.act_ready = if self.acts == 4 {
+            // A fifth ACT must be at least tFAW after the fourth-last.
+            self.earliest_act
+                .max(self.act_window[self.act_next] + t.t_faw)
+        } else {
+            self.earliest_act
+        };
     }
 
     /// Whether rank-level constraints allow a read column command at `now`.
+    #[cfg(test)]
     pub fn can_read_col(&self, now: MemCycle) -> bool {
         now >= self.earliest_read_col && !self.refreshing(now)
     }
 
     /// Whether a write column command may issue at `now`.
+    #[cfg(test)]
     pub fn can_write_col(&self, now: MemCycle) -> bool {
         !self.refreshing(now)
     }
@@ -306,12 +317,8 @@ impl RankTimer {
     /// Earliest cycle an ACT could legally issue under rank-level tRRD
     /// and tFAW constraints (refresh windows are accounted separately by
     /// the caller).
-    pub fn earliest_activate(&self, t: &DramTiming) -> MemCycle {
-        let mut e = self.earliest_act;
-        if self.act_window.len() == 4 {
-            e = e.max(self.act_window[0] + t.t_faw);
-        }
-        e
+    pub fn earliest_activate(&self) -> MemCycle {
+        self.act_ready
     }
 
     /// Earliest cycle a read column command could issue under tWTR.
@@ -398,10 +405,10 @@ mod tests {
     fn rank_trrd_spacing() {
         let t = t();
         let mut r = RankTimer::new(1_000_000);
-        assert!(r.can_activate(0, &t));
+        assert!(r.can_activate(0));
         r.record_activate(0, &t);
-        assert!(!r.can_activate(t.t_rrd - 1, &t));
-        assert!(r.can_activate(t.t_rrd, &t));
+        assert!(!r.can_activate(t.t_rrd - 1));
+        assert!(r.can_activate(t.t_rrd));
     }
 
     #[test]
@@ -410,13 +417,13 @@ mod tests {
         let mut r = RankTimer::new(1_000_000);
         let mut now = 0;
         for _ in 0..4 {
-            assert!(r.can_activate(now, &t));
+            assert!(r.can_activate(now));
             r.record_activate(now, &t);
             now += t.t_rrd;
         }
         // Fifth ACT must wait until tFAW after the first.
-        assert!(!r.can_activate(now, &t));
-        assert!(r.can_activate(t.t_faw, &t));
+        assert!(!r.can_activate(now));
+        assert!(r.can_activate(t.t_faw));
     }
 
     #[test]
@@ -439,10 +446,10 @@ mod tests {
         let done = r.start_refresh(10, &t);
         assert_eq!(done, 10 + t.rfc());
         assert!(r.refreshing(done - 1));
-        assert!(!r.can_activate(done - 1, &t));
+        assert!(!r.can_activate(done - 1));
         r.finish_refresh(done);
         assert!(!r.refreshing(done));
-        assert!(r.can_activate(done, &t));
+        assert!(r.can_activate(done));
         // Next refresh re-armed one tREFI later.
         assert!(!r.refresh_pending(done));
         assert!(r.refresh_pending(10 + t.refi()));

@@ -16,13 +16,14 @@
 //! when no reads are pending), following the scheme of the Virtual Write
 //! Queue paper the baseline compares against.
 //!
-//! Each queue keeps a per-bank index ([`TxnQueue`]): how many entries
-//! target each bank, how many of those hit the bank's open row or are
-//! demand (non-speculative) traffic, and bitmasks of the banks with any
-//! entry and with a demand entry. Every gate of the arbitration
-//! above depends only on a bank's state and whether it has a pending
-//! hit, so a cycle that issues nothing costs O(occupied banks); the
-//! queue itself is walked only to pick the transaction a command serves.
+//! Each queue ([`TxnQueue`]) keeps its entries as per-bank lists in
+//! arrival order, with per-bank counts of the entries that hit the
+//! bank's open row or are demand (non-speculative) traffic. Every gate
+//! of the arbitration above depends only on a bank's state and whether
+//! it has a pending hit, so one pass over the occupied banks
+//! ([`Channel::scan`]) yields both the banks each gate admits and the
+//! earliest cycle any gate could open; only the admitted banks' lists
+//! are walked, to pick the transaction a command serves.
 
 use crate::audit::TimingAuditor;
 use crate::bank::{Bank, CommandKind, RankTimer};
@@ -30,7 +31,6 @@ use crate::energy::DramEnergyCounters;
 use crate::mapping::DramCoord;
 use crate::transaction::{Completion, Transaction, TransactionId};
 use bump_types::{DramGeometry, DramTiming, MemCycle};
-use std::collections::VecDeque;
 
 /// Write-queue capacity and drain watermarks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -64,11 +64,20 @@ pub enum RowPolicy {
     Close,
 }
 
-/// The most banks one channel may have: the per-bank index keeps its
-/// occupied banks in a `u64` mask.
-const MAX_BANKS: u32 = 64;
+/// The most banks one channel may have: the queues keep their occupied
+/// banks in a `u64` mask.
+const MAX_BANKS: usize = 64;
 
-#[derive(Clone, Debug)]
+/// The end of a bank's list (and of the free list).
+const NIL: u32 = u32::MAX;
+
+/// The three FR-FCFS gates, in priority order, as indices into
+/// [`Scan::gates`].
+const COLUMN: usize = 0;
+const ACTIVATE: usize = 1;
+const PRECHARGE: usize = 2;
+
+#[derive(Clone, Copy, Debug)]
 struct Queued {
     id: TransactionId,
     txn: Transaction,
@@ -80,50 +89,106 @@ struct Queued {
     caused_conflict: bool,
 }
 
-/// One transaction queue (reads or writes) with its per-bank index.
+/// A slab slot: one queued transaction and its links in its bank's
+/// list (or, for a free slot, `next` links the free list).
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    q: Queued,
+    /// Arrival order within the queue: an older entry has a smaller
+    /// `seq`.
+    seq: u64,
+    prev: u32,
+    next: u32,
+}
+
+/// One transaction queue (reads or writes): per-bank lists in arrival
+/// order, threaded through one slab that never outgrows the queue's
+/// capacity.
 ///
 /// Invariants, for every bank `b` of the channel:
-/// - `queued[b]` is the number of entries targeting `b`;
-/// - `hits[b]` is the number of those whose row is `b`'s open row
-///   (zero while `b` is precharged);
-/// - bit `b` of `occupied` is set iff `queued[b] > 0`;
-/// - `demand[b]` is the number of those that are not speculative;
-/// - bit `b` of `demand_occupied` is set iff `demand[b] > 0`.
+/// - following `next` from `head[b]` visits exactly the live entries
+///   targeting `b`, in increasing `seq`, and ends at `tail[b]`;
+///   following `prev` from `tail[b]` visits them in reverse;
+/// - bit `b` of `occupied` is set iff `head[b] != NIL`;
+/// - `hits[b]` is the number of those entries whose row is `b`'s open
+///   row (zero while `b` is precharged);
+/// - `demand[b]` is the number of those that are not speculative, and
+///   bit `b` of `demand_occupied` is set iff `demand[b] > 0`;
+/// - every other slab slot is on the free list from `free`, and `len`
+///   counts the live ones.
 #[derive(Debug)]
 struct TxnQueue {
-    entries: VecDeque<Queued>,
-    queued: Vec<u32>,
-    hits: Vec<u32>,
+    slab: Vec<Slot>,
+    free: u32,
+    len: usize,
+    next_seq: u64,
+    head: [u32; MAX_BANKS],
+    tail: [u32; MAX_BANKS],
+    hits: [u32; MAX_BANKS],
+    demand: [u32; MAX_BANKS],
     occupied: u64,
-    demand: Vec<u32>,
     demand_occupied: u64,
 }
 
 impl TxnQueue {
-    fn new(banks: usize) -> Self {
+    fn new() -> Self {
         TxnQueue {
-            entries: VecDeque::new(),
-            queued: vec![0; banks],
-            hits: vec![0; banks],
+            slab: Vec::new(),
+            free: NIL,
+            len: 0,
+            next_seq: 0,
+            head: [NIL; MAX_BANKS],
+            tail: [NIL; MAX_BANKS],
+            hits: [0; MAX_BANKS],
+            demand: [0; MAX_BANKS],
             occupied: 0,
-            demand: vec![0; banks],
             demand_occupied: 0,
         }
     }
 
     fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
-    /// Appends `q`; `hit` says whether its row is its bank's open row.
+    fn entry(&self, slot: u32) -> &Queued {
+        &self.slab[slot as usize].q
+    }
+
+    fn entry_mut(&mut self, slot: u32) -> &mut Queued {
+        &mut self.slab[slot as usize].q
+    }
+
+    /// Appends `q` to its bank's list; `hit` says whether its row is
+    /// its bank's open row.
     fn push(&mut self, q: Queued, hit: bool) {
-        self.queued[q.bank] += 1;
-        self.hits[q.bank] += u32::from(hit);
-        self.occupied |= 1 << q.bank;
+        let bank = q.bank;
+        self.hits[bank] += u32::from(hit);
         if !q.txn.class.is_speculative() {
-            self.add_demand(q.bank);
+            self.add_demand(bank);
         }
-        self.entries.push_back(q);
+        let slot = Slot {
+            q,
+            seq: self.next_seq,
+            prev: self.tail[bank],
+            next: NIL,
+        };
+        self.next_seq += 1;
+        let i = if self.free == NIL {
+            self.slab.push(slot);
+            (self.slab.len() - 1) as u32
+        } else {
+            let i = self.free;
+            self.free = self.slab[i as usize].next;
+            self.slab[i as usize] = slot;
+            i
+        };
+        match self.tail[bank] {
+            NIL => self.head[bank] = i,
+            t => self.slab[t as usize].next = i,
+        }
+        self.tail[bank] = i;
+        self.occupied |= 1 << bank;
+        self.len += 1;
     }
 
     fn add_demand(&mut self, bank: usize) {
@@ -131,22 +196,50 @@ impl TxnQueue {
         self.demand_occupied |= 1 << bank;
     }
 
-    /// Removes the entry at `pos`, which a column command is serving —
+    /// Unlinks the entry in `slot`, which a column command is serving —
     /// so it hits its bank's open row.
-    fn remove_hit(&mut self, pos: usize) -> Queued {
-        let q = self.entries.remove(pos).expect("queue position valid");
-        self.queued[q.bank] -= 1;
-        self.hits[q.bank] -= 1;
-        if self.queued[q.bank] == 0 {
-            self.occupied &= !(1 << q.bank);
+    fn remove_hit(&mut self, slot: u32) -> Queued {
+        let Slot { q, prev, next, .. } = self.slab[slot as usize];
+        let bank = q.bank;
+        match prev {
+            NIL => self.head[bank] = next,
+            p => self.slab[p as usize].next = next,
         }
+        match next {
+            NIL => self.tail[bank] = prev,
+            n => self.slab[n as usize].prev = prev,
+        }
+        if self.head[bank] == NIL {
+            self.occupied &= !(1 << bank);
+        }
+        self.hits[bank] -= 1;
         if !q.txn.class.is_speculative() {
-            self.demand[q.bank] -= 1;
-            if self.demand[q.bank] == 0 {
-                self.demand_occupied &= !(1 << q.bank);
+            self.demand[bank] -= 1;
+            if self.demand[bank] == 0 {
+                self.demand_occupied &= !(1 << bank);
             }
         }
+        self.slab[slot as usize].next = self.free;
+        self.free = slot;
+        self.len -= 1;
         q
+    }
+
+    /// Bank `bank`'s entries, oldest first.
+    fn bank_slots(&self, bank: usize) -> impl Iterator<Item = u32> + '_ {
+        let mut i = self.head[bank];
+        std::iter::from_fn(move || {
+            (i != NIL).then(|| {
+                let slot = i;
+                i = self.slab[slot as usize].next;
+                slot
+            })
+        })
+    }
+
+    /// The oldest entry of bank `bank` that `pred` accepts.
+    fn find(&self, bank: usize, pred: impl Fn(&Queued) -> bool) -> Option<u32> {
+        self.bank_slots(bank).find(|&i| pred(self.entry(i)))
     }
 
     /// Re-counts bank `bank`'s hits against its new open row (`None`
@@ -155,35 +248,51 @@ impl TxnQueue {
         self.hits[bank] = match row {
             None => 0,
             Some(row) => self
-                .entries
-                .iter()
-                .filter(|q| q.bank == bank && q.coord.row == row)
+                .bank_slots(bank)
+                .filter(|&i| self.entry(i).coord.row == row)
                 .count() as u32,
         };
     }
 
-    /// The oldest entry in one of the banks of `mask` that `pred`
-    /// accepts. With `demand_first`, the oldest demand entry wins over
-    /// older speculative (prefetch/bulk) ones, so streams cannot delay
-    /// the critical path. Without a demand entry in `mask`'s banks the
-    /// first match wins outright, so the walk stops there.
+    /// The oldest entry (smallest `seq`) in one of the banks `b` of
+    /// `mask` whose row is `row(b)` (any row where that is `None`). With
+    /// `demand_first`, the oldest demand entry wins over older
+    /// speculative (prefetch/bulk) ones, so streams cannot delay the
+    /// critical path. Each bank's walk stops at its first match, or at
+    /// its first demand match when it holds demand entries the pick
+    /// could prefer.
     fn oldest(
         &self,
         mask: u64,
         demand_first: bool,
-        pred: impl Fn(&Queued) -> bool,
-    ) -> Option<usize> {
+        row: impl Fn(usize) -> Option<u64>,
+    ) -> Option<u32> {
         let demand_first = demand_first && mask & self.demand_occupied != 0;
-        let mut any = None;
-        for (i, q) in self.entries.iter().enumerate() {
-            if mask & (1 << q.bank) != 0 && pred(q) {
-                if !demand_first || !q.txn.class.is_speculative() {
-                    return Some(i);
+        let (mut any, mut demand) = ((u64::MAX, NIL), (u64::MAX, NIL));
+        for b in banks_in(mask) {
+            let want_demand = demand_first && self.demand[b] > 0;
+            let row = row(b);
+            let mut matched = false;
+            for i in self.bank_slots(b) {
+                let s = &self.slab[i as usize];
+                if row.is_some_and(|row| s.q.coord.row != row) {
+                    continue;
                 }
-                any.get_or_insert(i);
+                if !matched {
+                    matched = true;
+                    any = any.min((s.seq, i));
+                }
+                if !want_demand {
+                    break;
+                }
+                if !s.q.txn.class.is_speculative() {
+                    demand = demand.min((s.seq, i));
+                    break;
+                }
             }
         }
-        any
+        let (_, slot) = if demand.1 != NIL { demand } else { any };
+        (slot != NIL).then_some(slot)
     }
 }
 
@@ -198,13 +307,26 @@ fn banks_in(mut mask: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-/// A command the FR-FCFS arbiter chose, naming the active-queue
-/// position of the transaction it serves.
+/// A command the FR-FCFS arbiter chose, naming the active-queue slab
+/// slot of the transaction it serves.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Command {
-    Column(usize),
-    Activate(usize),
-    Precharge(usize),
+    Column(u32),
+    Activate(u32),
+    Precharge(u32),
+}
+
+/// What one pass over the active queue's occupied banks found.
+#[derive(Clone, Copy, Debug)]
+struct Scan {
+    /// The banks each gate admits at the scanned cycle, indexed by
+    /// [`COLUMN`], [`ACTIVATE`] and [`PRECHARGE`].
+    gates: [u64; 3],
+    /// The earliest cycle a transaction completes, a refresh falls due
+    /// or finishes, or an occupied bank's gate opens — the timed part of
+    /// [`Channel::next_event_at`]. It does not depend on the scanned
+    /// cycle.
+    horizon: MemCycle,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -227,12 +349,21 @@ pub struct Channel {
     read_capacity: usize,
     banks: Vec<Bank>,
     ranks: Vec<RankTimer>,
-    /// The rank of each channel-local bank (`bank / banks_per_rank`,
-    /// tabulated once: the scheduler asks per occupied bank).
-    bank_rank: Vec<usize>,
+    /// The banks of rank 0 as a mask; rank `r`'s are this shifted left
+    /// by `r × banks_per_rank`.
+    rank_banks: u64,
+    /// Ranks with at least one open bank (background energy).
+    active_ranks: u32,
+    /// Whether some rank may still be mid-refresh.
+    refresh_running: bool,
+    /// The earliest `refresh_due` over the ranks: before it no refresh
+    /// is pending.
+    next_refresh_due: MemCycle,
     read_queue: TxnQueue,
     write_queue: TxnQueue,
     in_flight: Vec<InFlight>,
+    /// The earliest `data_end` in `in_flight` (`MAX` when empty).
+    next_data_end: MemCycle,
     write_drain: bool,
     data_bus_free_at: MemCycle,
     last_burst_was_write: bool,
@@ -242,10 +373,6 @@ pub struct Channel {
     /// a cycle strictly below it is a provable no-op (only background
     /// energy accounting). `None` means "unknown — take the full tick".
     horizon: Option<MemCycle>,
-    /// Commands issued so far (ACT/column/PRE/REF), bumped whenever a
-    /// tick consumes its command slot. Lets `tick_event` detect an
-    /// active tick without recomputing the horizon.
-    commands_issued: u64,
     /// Column commands issued so far. Columns are the only commands
     /// that pop a queue entry, i.e. the only events that can open room
     /// for a backpressured transaction — the event loop watches this to
@@ -263,8 +390,8 @@ impl Channel {
     ///
     /// # Panics
     ///
-    /// Panics if the channel has more than 64 banks (the scheduler's
-    /// per-bank index keeps its occupied banks in a `u64` mask).
+    /// Panics if the channel has more than 64 banks (the scheduler keeps
+    /// its occupied banks in a `u64` mask).
     pub fn new(
         geom: DramGeometry,
         timing: DramTiming,
@@ -274,13 +401,12 @@ impl Channel {
         refresh_phase: MemCycle,
         audit: bool,
     ) -> Self {
-        let bank_count = geom.ranks_per_channel * geom.banks_per_rank;
+        let bank_count = (geom.ranks_per_channel * geom.banks_per_rank) as usize;
         assert!(
             bank_count <= MAX_BANKS,
             "{bank_count} banks per channel; the scheduler supports at most {MAX_BANKS}"
         );
-        let bank_count = bank_count as usize;
-        let ranks = (0..geom.ranks_per_channel)
+        let ranks: Vec<RankTimer> = (0..geom.ranks_per_channel)
             .map(|r| {
                 RankTimer::new(
                     refresh_phase
@@ -288,6 +414,7 @@ impl Channel {
                 )
             })
             .collect();
+        let next_refresh_due = ranks.iter().map(RankTimer::refresh_due).min();
         Channel {
             timing,
             policy,
@@ -296,19 +423,20 @@ impl Channel {
             read_capacity,
             banks: vec![Bank::new(); bank_count],
             ranks,
-            bank_rank: (0..bank_count)
-                .map(|b| b / geom.banks_per_rank as usize)
-                .collect(),
-            read_queue: TxnQueue::new(bank_count),
-            write_queue: TxnQueue::new(bank_count),
+            rank_banks: u64::MAX >> (64 - geom.banks_per_rank),
+            active_ranks: 0,
+            refresh_running: false,
+            next_refresh_due: next_refresh_due.unwrap_or(MemCycle::MAX),
+            read_queue: TxnQueue::new(),
+            write_queue: TxnQueue::new(),
             in_flight: Vec::new(),
+            next_data_end: MemCycle::MAX,
             write_drain: false,
             data_bus_free_at: 0,
             last_burst_was_write: false,
             energy: DramEnergyCounters::default(),
             auditor: audit.then(TimingAuditor::new),
             horizon: None,
-            commands_issued: 0,
             columns_issued: 0,
             row_hits_issued: 0,
         }
@@ -316,11 +444,6 @@ impl Channel {
 
     fn bank_index(&self, coord: DramCoord) -> usize {
         (coord.rank * self.geom.banks_per_rank + coord.bank) as usize
-    }
-
-    /// The rank holding channel-local bank `bank`.
-    fn rank_of(&self, bank: usize) -> &RankTimer {
-        &self.ranks[self.bank_rank[bank]]
     }
 
     /// Whether the queue for `is_write` traffic has room.
@@ -357,23 +480,22 @@ impl Channel {
         self.auditor.as_ref()
     }
 
-    /// Promotes a queued speculative read of `block` to demand priority
-    /// (a demand access merged into its MSHR). Returns whether a queued
-    /// transaction was found.
-    pub fn promote_to_demand(&mut self, block: bump_types::BlockAddr) -> bool {
+    /// Promotes a queued speculative read of `block`, which maps to
+    /// `coord`, to demand priority (a demand access merged into its
+    /// MSHR). Returns whether a queued transaction was found.
+    pub fn promote_to_demand(&mut self, block: bump_types::BlockAddr, coord: DramCoord) -> bool {
         self.horizon = None;
+        let bank = self.bank_index(coord);
         let queue = &mut self.read_queue;
-        if let Some(q) = queue
-            .entries
-            .iter_mut()
-            .find(|q| q.txn.block == block && q.txn.class.is_speculative())
-        {
-            q.txn.class = bump_types::TrafficClass::Demand;
-            let bank = q.bank;
-            queue.add_demand(bank);
-            true
-        } else {
-            false
+        match queue.find(bank, |q| {
+            q.txn.block == block && q.txn.class.is_speculative()
+        }) {
+            Some(slot) => {
+                queue.entry_mut(slot).txn.class = bump_types::TrafficClass::Demand;
+                queue.add_demand(bank);
+                true
+            }
+            None => false,
         }
     }
 
@@ -391,15 +513,12 @@ impl Channel {
         now: MemCycle,
     ) -> bool {
         self.horizon = None;
+        let bank = self.bank_index(coord);
+        let queued_write = self.write_queue.find(bank, |q| q.txn.block == txn.block);
         if txn.is_write {
-            if let Some(q) = self
-                .write_queue
-                .entries
-                .iter_mut()
-                .find(|q| q.txn.block == txn.block)
-            {
+            if let Some(slot) = queued_write {
                 // Coalesce: the newer data replaces the queued write.
-                q.txn = txn;
+                self.write_queue.entry_mut(slot).txn = txn;
                 return true;
             }
             if self.write_queue.len() >= self.wq_config.capacity {
@@ -409,14 +528,9 @@ impl Channel {
             if self.read_queue.len() >= self.read_capacity {
                 return false;
             }
-            if self
-                .write_queue
-                .entries
-                .iter()
-                .any(|q| q.txn.block == txn.block)
-            {
+            if queued_write.is_some() {
                 // Forward from the write queue: complete without DRAM.
-                self.in_flight.push(InFlight {
+                self.push_in_flight(InFlight {
                     id,
                     txn,
                     enqueued_at: now,
@@ -427,7 +541,6 @@ impl Channel {
                 return true;
             }
         }
-        let bank = self.bank_index(coord);
         let hit = self.banks[bank].open_row() == Some(coord.row);
         let queue = if txn.is_write {
             &mut self.write_queue
@@ -452,43 +565,49 @@ impl Channel {
     /// Advances the channel by one memory cycle, appending finished
     /// transactions to `completions`.
     pub fn tick(&mut self, now: MemCycle, completions: &mut Vec<Completion>) {
-        self.retire_in_flight(now, completions);
-        self.account_background(now);
-        self.update_drain_mode();
-        if self.service_refresh(now) {
-            return; // the command slot was spent on refresh management
-        }
-        if let Some(cmd) = self.pick(now) {
-            self.issue(cmd, now);
-        }
+        self.step(now, completions);
     }
 
     /// Event-driven tick: identical semantics to [`Channel::tick`], but
     /// ticks strictly below the memoized [`Channel::next_event_at`]
     /// horizon take a fast path that only performs the per-cycle
     /// background-energy accounting (provably the full tick's only
-    /// effect there). The horizon is recomputed after every full tick
-    /// and invalidated by [`Channel::enqueue`] /
-    /// [`Channel::promote_to_demand`].
+    /// effect there). Every full tick memoizes a new horizon and
+    /// [`Channel::enqueue`] / [`Channel::promote_to_demand`] invalidate
+    /// it.
     pub fn tick_event(&mut self, now: MemCycle, completions: &mut Vec<Completion>) {
         if let Some(h) = self.horizon {
             if now < h {
-                self.account_background(now);
+                self.account_background();
                 return;
             }
         }
-        let commands_before = self.commands_issued;
+        self.horizon = Some(self.step(now, completions));
+    }
+
+    /// The body of [`Channel::tick`]; returns the horizon of the next
+    /// tick that could act. After a tick that issued a command or
+    /// retired a transaction the channel is hot, so that is simply
+    /// `now + 1` (the next full tick re-evaluates anyway); after a quiet
+    /// tick it is [`Channel::next_event_at`]`(now + 1)`, taken from the
+    /// same scan that found nothing to issue.
+    fn step(&mut self, now: MemCycle, completions: &mut Vec<Completion>) -> MemCycle {
         let retired_before = completions.len();
-        self.tick(now, completions);
-        self.horizon =
-            if self.commands_issued != commands_before || completions.len() != retired_before {
-                // The channel is hot — a command or completion landed this
-                // cycle, so more activity next cycle is likely. Skip the
-                // horizon scan; the next full tick re-evaluates anyway.
-                Some(now + 1)
-            } else {
-                Some(self.next_event_at(now + 1))
-            };
+        self.retire_in_flight(now, completions);
+        self.account_background();
+        self.update_drain_mode();
+        if self.service_refresh(now) {
+            return now + 1; // the command slot was spent on refresh management
+        }
+        let scan = self.scan(now);
+        match self.pick(scan.gates) {
+            Some(cmd) => {
+                self.issue(cmd, now);
+                now + 1
+            }
+            None if completions.len() != retired_before => now + 1,
+            None => self.quiet_horizon(scan.horizon, now + 1),
+        }
     }
 
     /// The earliest memory cycle `T >= now` at which ticking this
@@ -503,48 +622,23 @@ impl Channel {
     /// only costs a wasted tick; the event engine's equivalence to the
     /// cycle-accurate oracle does not depend on tightness.
     ///
-    /// Costs O(in-flight + ranks + occupied banks): each occupied bank
-    /// of the active queue contributes one bound. With a pending hit it
-    /// is the column bound (its conflicting entries wait for a command
-    /// on that bank, an event in its own right); an open bank without
-    /// one can precharge; a closed bank can activate.
+    /// Costs one [`Channel::scan`]: O(ranks + occupied banks). Each
+    /// occupied bank of the active queue contributes one bound. With a
+    /// pending hit it is the column bound (its conflicting entries wait
+    /// for a command on that bank, an event in its own right); an open
+    /// bank without one can precharge; a closed bank can activate.
     pub fn next_event_at(&self, now: MemCycle) -> MemCycle {
-        // A pending drain-mode flip mutates state on the very next tick.
+        self.quiet_horizon(self.scan(now).horizon, now)
+    }
+
+    /// [`Channel::next_event_at`]`(now)` given the scan's timed horizon:
+    /// a pending drain-mode flip mutates state on the very next tick.
+    fn quiet_horizon(&self, horizon: MemCycle, now: MemCycle) -> MemCycle {
         if self.drain_mode_would_flip() {
-            return now;
+            now
+        } else {
+            horizon.max(now)
         }
-        let mut t = MemCycle::MAX;
-        for f in &self.in_flight {
-            t = t.min(f.data_end);
-        }
-        for r in &self.ranks {
-            t = t.min(match r.refresh_until() {
-                Some(until) => until,
-                None => r.refresh_due(),
-            });
-        }
-        let is_write = self.write_drain;
-        let queue = self.active_queue();
-        let bus_ready = self.data_bus_ready_at(is_write);
-        for b in banks_in(queue.occupied) {
-            let bank = &self.banks[b];
-            let rank = self.rank_of(b);
-            t = t.min(match bank.open_row() {
-                Some(_) if queue.hits[b] > 0 => {
-                    let col = bank.earliest_column().max(bus_ready);
-                    if is_write {
-                        col
-                    } else {
-                        col.max(rank.earliest_read_column())
-                    }
-                }
-                Some(_) => bank.earliest_precharge(),
-                None => bank
-                    .earliest_activate()
-                    .max(rank.earliest_activate(&self.timing)),
-            });
-        }
-        t.max(now)
     }
 
     /// [`Channel::next_event_at`], but served from the horizon memoized
@@ -565,23 +659,19 @@ impl Channel {
             self.write_queue.len() <= self.wq_config.drain_low
         } else {
             self.write_queue.len() >= self.wq_config.drain_high
-                || (self.read_queue.entries.is_empty() && !self.write_queue.entries.is_empty())
+                || (self.read_queue.len() == 0 && self.write_queue.len() != 0)
         }
     }
 
     /// Applies the state changes of `cycles` consecutive no-op ticks in
-    /// O(ranks): per-rank background-energy accounting with the frozen
-    /// `open_banks` classification. The caller must have established —
+    /// O(1): background-energy accounting with the frozen count of
+    /// ranks holding an open bank. The caller must have established —
     /// via [`Channel::next_event_at`] — that every skipped tick is a
     /// no-op.
     pub fn skip_idle_cycles(&mut self, cycles: u64) {
-        for rank in &self.ranks {
-            if rank.open_banks > 0 {
-                self.energy.active_rank_cycles += cycles;
-            } else {
-                self.energy.idle_rank_cycles += cycles;
-            }
-        }
+        let active = u64::from(self.active_ranks);
+        self.energy.active_rank_cycles += active * cycles;
+        self.energy.idle_rank_cycles += (self.ranks.len() as u64 - active) * cycles;
     }
 
     /// Column commands issued so far (the queue-popping events).
@@ -604,36 +694,46 @@ impl Channel {
             .min()
     }
 
+    fn push_in_flight(&mut self, f: InFlight) {
+        self.next_data_end = self.next_data_end.min(f.data_end);
+        self.in_flight.push(f);
+    }
+
+    /// Retires the transactions whose data burst has ended and clears
+    /// finished refreshes. Both are O(1) until `next_data_end` or a
+    /// running refresh says there is something to do.
     fn retire_in_flight(&mut self, now: MemCycle, completions: &mut Vec<Completion>) {
-        let mut i = 0;
-        while i < self.in_flight.len() {
-            if self.in_flight[i].data_end <= now {
-                let f = self.in_flight.swap_remove(i);
-                completions.push(Completion {
-                    id: f.id,
-                    txn: f.txn,
-                    enqueued_at: f.enqueued_at,
-                    done_at: f.data_end,
-                    row_hit: f.row_hit,
-                    row_conflict: f.row_conflict,
-                });
-            } else {
-                i += 1;
+        if now >= self.next_data_end {
+            let mut next = MemCycle::MAX;
+            let mut i = 0;
+            while i < self.in_flight.len() {
+                if self.in_flight[i].data_end <= now {
+                    let f = self.in_flight.swap_remove(i);
+                    completions.push(Completion {
+                        id: f.id,
+                        txn: f.txn,
+                        enqueued_at: f.enqueued_at,
+                        done_at: f.data_end,
+                        row_hit: f.row_hit,
+                        row_conflict: f.row_conflict,
+                    });
+                } else {
+                    next = next.min(self.in_flight[i].data_end);
+                    i += 1;
+                }
             }
+            self.next_data_end = next;
         }
-        for rank in &mut self.ranks {
-            rank.finish_refresh(now);
+        if self.refresh_running {
+            for rank in &mut self.ranks {
+                rank.finish_refresh(now);
+            }
+            self.refresh_running = self.ranks.iter().any(|r| r.refresh_until().is_some());
         }
     }
 
-    fn account_background(&mut self, _now: MemCycle) {
-        for rank in &self.ranks {
-            if rank.open_banks > 0 {
-                self.energy.active_rank_cycles += 1;
-            } else {
-                self.energy.idle_rank_cycles += 1;
-            }
-        }
+    fn account_background(&mut self) {
+        self.skip_idle_cycles(1);
     }
 
     fn update_drain_mode(&mut self) {
@@ -645,6 +745,9 @@ impl Channel {
     /// Handles refresh management; returns true if the command slot was
     /// consumed.
     fn service_refresh(&mut self, now: MemCycle) -> bool {
+        if now < self.next_refresh_due {
+            return false;
+        }
         for r in 0..self.ranks.len() {
             if !self.ranks[r].refresh_pending(now) {
                 continue;
@@ -663,8 +766,14 @@ impl Channel {
             }
             // All banks closed: issue REF once tRP has elapsed everywhere.
             if bank_range.clone().all(|b| self.banks[b].can_activate(now)) {
-                self.commands_issued += 1;
                 let done = self.ranks[r].start_refresh(now, &self.timing);
+                self.refresh_running = true;
+                self.next_refresh_due = self
+                    .ranks
+                    .iter()
+                    .map(RankTimer::refresh_due)
+                    .min()
+                    .unwrap_or(MemCycle::MAX);
                 for b in bank_range {
                     self.banks[b].refresh_until(done);
                 }
@@ -679,12 +788,26 @@ impl Channel {
         false
     }
 
+    /// Counts a bank of `rank` opening a row.
+    fn open_bank(&mut self, rank: usize) {
+        let r = &mut self.ranks[rank];
+        r.open_banks += 1;
+        self.active_ranks += u32::from(r.open_banks == 1);
+    }
+
+    /// Counts a bank of `rank` closing its row, and clears both queues'
+    /// hits on it.
+    fn close_bank(&mut self, rank: usize, bank: usize) {
+        let r = &mut self.ranks[rank];
+        r.open_banks -= 1;
+        self.active_ranks -= u32::from(r.open_banks == 0);
+        self.set_open_row(bank, None);
+    }
+
     fn issue_precharge(&mut self, rank: usize, bank: usize, now: MemCycle) {
         debug_assert!(self.banks[bank].open_row().is_some());
-        self.commands_issued += 1;
         self.banks[bank].precharge(now, &self.timing);
-        self.ranks[rank].open_banks -= 1;
-        self.set_open_row(bank, None);
+        self.close_bank(rank, bank);
         if let Some(a) = &mut self.auditor {
             a.record(
                 now,
@@ -704,56 +827,74 @@ impl Channel {
         self.write_queue.set_open_row(bank, row);
     }
 
-    /// FR-FCFS arbitration: the one command (if any) to issue at `now`.
-    ///
-    /// One pass over the active queue's occupied banks sorts each into
-    /// the gate its state allows: column (a pending hit whose bank, rank
-    /// and data bus are ready), ACT (precharged and activatable) or PRE
-    /// (open with no pending hit, and precharge-ready). Only then is the
-    /// queue walked, for the highest-priority non-empty gate.
-    fn pick(&self, now: MemCycle) -> Option<Command> {
+    /// One pass over the active queue's occupied banks at `now`, rank by
+    /// rank. Each rank's gates (refresh, tRRD/tFAW, tWTR and the data
+    /// bus) are computed once; each bank then takes the threshold of the
+    /// one gate its state allows — column (a pending hit), ACT
+    /// (precharged) or PRE (open without a pending hit) — folds it into
+    /// the horizon, and joins that gate's mask if the threshold has
+    /// passed and refresh does not block the gate. No branch depends on
+    /// a bank's state.
+    fn scan(&self, now: MemCycle) -> Scan {
         let is_write = self.write_drain;
         let queue = self.active_queue();
-        let bus_free = self.data_bus_ready_at(is_write) <= now;
-        let (mut column, mut activate, mut precharge) = (0u64, 0u64, 0u64);
-        for b in banks_in(queue.occupied) {
-            let bank = &self.banks[b];
-            let rank = self.rank_of(b);
-            match bank.open_row() {
-                Some(_) if queue.hits[b] > 0 => {
-                    let rank_ready = if is_write {
-                        rank.can_write_col(now)
-                    } else {
-                        rank.can_read_col(now)
-                    };
-                    if bus_free && now >= bank.earliest_column() && rank_ready {
-                        column |= 1 << b;
-                    }
-                }
-                Some(_) => {
-                    if bank.can_precharge(now) {
-                        precharge |= 1 << b;
-                    }
-                }
-                None => {
-                    if bank.can_activate(now) && rank.can_activate(now, &self.timing) {
-                        activate |= 1 << b;
-                    }
-                }
+        let bus_ready = self.data_bus_ready_at(is_write);
+        let banks_per_rank = self.geom.banks_per_rank as usize;
+        let mut gates = [0u64; 3];
+        let mut horizon = self.next_data_end;
+        for (r, rank) in self.ranks.iter().enumerate() {
+            horizon = horizon.min(rank.refresh_until().unwrap_or(rank.refresh_due()));
+            let occupied = queue.occupied & (self.rank_banks << (r * banks_per_rank));
+            if occupied == 0 {
+                continue;
+            }
+            let col_at = if is_write {
+                bus_ready
+            } else {
+                bus_ready.max(rank.earliest_read_column())
+            };
+            let act_at = rank.earliest_activate();
+            let refreshing = rank.refreshing(now);
+            let blocked = |b: bool| if b { MemCycle::MAX } else { 0 };
+            let block = [
+                blocked(refreshing),
+                blocked(refreshing || rank.refresh_pending(now)),
+                0,
+            ];
+            for b in banks_in(occupied) {
+                let bank = &self.banks[b];
+                // COLUMN with a pending hit (its row is open), else
+                // ACTIVATE if precharged, else PRECHARGE.
+                let gate =
+                    usize::from(queue.hits[b] == 0) << usize::from(bank.open_row().is_some());
+                let at = [
+                    bank.earliest_column().max(col_at),
+                    bank.earliest_activate().max(act_at),
+                    bank.earliest_precharge(),
+                ][gate];
+                horizon = horizon.min(at);
+                gates[gate] |= u64::from(at.max(block[gate]) <= now) << b;
             }
         }
-        if column != 0 {
-            let hits_open_row = |q: &Queued| self.banks[q.bank].open_row() == Some(q.coord.row);
+        Scan { gates, horizon }
+    }
+
+    /// FR-FCFS arbitration over the gates a [`Channel::scan`] found: the
+    /// oldest transaction in the highest-priority non-empty gate's banks
+    /// (demand before speculative for columns and ACTs).
+    fn pick(&self, gates: [u64; 3]) -> Option<Command> {
+        let queue = self.active_queue();
+        if gates[COLUMN] != 0 {
             queue
-                .oldest(column, true, hits_open_row)
+                .oldest(gates[COLUMN], true, |b| self.banks[b].open_row())
                 .map(Command::Column)
-        } else if activate != 0 {
+        } else if gates[ACTIVATE] != 0 {
             queue
-                .oldest(activate, true, |_| true)
+                .oldest(gates[ACTIVATE], true, |_| None)
                 .map(Command::Activate)
-        } else if precharge != 0 {
+        } else if gates[PRECHARGE] != 0 {
             queue
-                .oldest(precharge, false, |_| true)
+                .oldest(gates[PRECHARGE], false, |_| None)
                 .map(Command::Precharge)
         } else {
             None
@@ -762,9 +903,9 @@ impl Channel {
 
     fn issue(&mut self, cmd: Command, now: MemCycle) {
         match cmd {
-            Command::Column(pos) => self.issue_column(pos, now),
-            Command::Activate(pos) => self.issue_activate(pos, now),
-            Command::Precharge(pos) => self.issue_conflict_precharge(pos, now),
+            Command::Column(slot) => self.issue_column(slot, now),
+            Command::Activate(slot) => self.issue_activate(slot, now),
+            Command::Precharge(slot) => self.issue_conflict_precharge(slot, now),
         }
     }
 
@@ -800,11 +941,10 @@ impl Channel {
         free_at.saturating_sub(data_latency)
     }
 
-    fn issue_column(&mut self, pos: usize, now: MemCycle) {
-        self.commands_issued += 1;
+    fn issue_column(&mut self, slot: u32, now: MemCycle) {
         self.columns_issued += 1;
         let is_write = self.write_drain;
-        let q = self.active_queue_mut().remove_hit(pos);
+        let q = self.active_queue_mut().remove_hit(slot);
         let bank_idx = q.bank;
         // Every other queued transaction to this row is a pending hit on
         // this bank, in one queue or the other.
@@ -823,8 +963,7 @@ impl Channel {
             end
         };
         if was_open && self.banks[bank_idx].open_row().is_none() {
-            self.ranks[q.coord.rank as usize].open_banks -= 1;
-            self.set_open_row(bank_idx, None);
+            self.close_bank(q.coord.rank as usize, bank_idx);
         }
         self.data_bus_free_at = data_end;
         self.last_burst_was_write = is_write;
@@ -847,7 +986,7 @@ impl Channel {
         if !q.caused_activation {
             self.row_hits_issued += 1;
         }
-        self.in_flight.push(InFlight {
+        self.push_in_flight(InFlight {
             id: q.id,
             txn: q.txn,
             enqueued_at: q.enqueued_at,
@@ -857,16 +996,15 @@ impl Channel {
         });
     }
 
-    fn issue_activate(&mut self, pos: usize, now: MemCycle) {
-        self.commands_issued += 1;
+    fn issue_activate(&mut self, slot: u32, now: MemCycle) {
         let (coord, bank_idx) = {
-            let q = &self.active_queue().entries[pos];
+            let q = self.active_queue().entry(slot);
             (q.coord, q.bank)
         };
         let row = coord.row;
         self.banks[bank_idx].activate(now, row, &self.timing);
         self.ranks[coord.rank as usize].record_activate(now, &self.timing);
-        self.ranks[coord.rank as usize].open_banks += 1;
+        self.open_bank(coord.rank as usize);
         self.energy.activations += 1;
         self.set_open_row(bank_idx, Some(row));
         if let Some(a) = &mut self.auditor {
@@ -881,16 +1019,16 @@ impl Channel {
         }
         // The transaction that triggered the ACT pays the row miss; every
         // other queued transaction to the same row will be a hit.
-        self.active_queue_mut().entries[pos].caused_activation = true;
+        self.active_queue_mut().entry_mut(slot).caused_activation = true;
     }
 
-    fn issue_conflict_precharge(&mut self, pos: usize, now: MemCycle) {
+    fn issue_conflict_precharge(&mut self, slot: u32, now: MemCycle) {
         let (rank, bank_idx) = {
-            let q = &self.active_queue().entries[pos];
+            let q = self.active_queue().entry(slot);
             (q.coord.rank as usize, q.bank)
         };
         self.issue_precharge(rank, bank_idx, now);
-        self.active_queue_mut().entries[pos].caused_conflict = true;
+        self.active_queue_mut().entry_mut(slot).caused_conflict = true;
     }
 }
 

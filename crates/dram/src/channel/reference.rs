@@ -1,31 +1,51 @@
-//! The scan-based FR-FCFS arbiter the per-bank index replaced, kept as
-//! the reference the indexed scheduler must agree with, command for
-//! command and horizon for horizon, under seeded random traffic.
+//! The scan-based FR-FCFS arbiter the per-bank lists replaced, kept as
+//! the reference the scheduler must agree with, command for command
+//! and horizon for horizon, under seeded random traffic.
 //!
 //! Both engines share [`Channel`], so engine equivalence cannot catch a
-//! scheduler that drifts from FR-FCFS; this test can. Every cycle it
-//! checks [`Channel::next_event_at`] and the command the arbiter picks
-//! against the queue scans below, then re-counts the per-bank index
-//! from the queues.
+//! scheduler that drifts from FR-FCFS; this test can. The reference
+//! sees each queue only as its live slab entries sorted by arrival
+//! `seq`, never through the per-bank lists. Every cycle the test checks
+//! [`Channel::next_event_at`], the command the one-pass scan and pick
+//! choose and, on a tick that issues nothing, the horizon that scan
+//! memoizes, against the queue scans below; then it rebuilds every
+//! bank's list and counters from the sorted slab and compares.
 
 use super::*;
 use crate::mapping::AddressMapper;
 use bump_types::{BlockAddr, Interleaving, MemSpec, TrafficClass};
 
+/// The queue's live entries as `(slot, entry)`, oldest first: every
+/// slab slot not on the free list, sorted by arrival `seq`.
+fn entries(queue: &TxnQueue) -> Vec<(u32, &Queued)> {
+    let mut free = vec![false; queue.slab.len()];
+    let mut i = queue.free;
+    while i != NIL {
+        assert!(!free[i as usize], "free list revisits slot {i}");
+        free[i as usize] = true;
+        i = queue.slab[i as usize].next;
+    }
+    let mut live: Vec<(u64, u32)> = (0..queue.slab.len())
+        .filter(|&i| !free[i])
+        .map(|i| (queue.slab[i].seq, i as u32))
+        .collect();
+    live.sort_unstable();
+    live.into_iter().map(|(_, i)| (i, queue.entry(i))).collect()
+}
+
 /// Whether any active-queue transaction hits bank `idx`'s open row.
 fn pending_open_row_hit(ch: &Channel, idx: usize) -> bool {
     let open = ch.banks[idx].open_row();
-    ch.active_queue()
-        .entries
+    entries(ch.active_queue())
         .iter()
-        .any(|q| ch.bank_index(q.coord) == idx && Some(q.coord.row) == open)
+        .any(|(_, q)| ch.bank_index(q.coord) == idx && Some(q.coord.row) == open)
 }
 
 /// The oldest active-queue transaction satisfying `pred`, giving demand
 /// traffic priority over speculative traffic.
-fn first_with_demand_priority(ch: &Channel, pred: impl Fn(&Queued) -> bool) -> Option<usize> {
+fn first_with_demand_priority(ch: &Channel, pred: impl Fn(&Queued) -> bool) -> Option<u32> {
     let mut any = None;
-    for (i, q) in ch.active_queue().entries.iter().enumerate() {
+    for (i, q) in entries(ch.active_queue()) {
         if pred(q) {
             if !q.txn.class.is_speculative() {
                 return Some(i);
@@ -52,7 +72,7 @@ fn data_bus_available(ch: &Channel, now: MemCycle, is_write: bool) -> bool {
     data_start >= free_at
 }
 
-fn find_ready_column(ch: &Channel, now: MemCycle) -> Option<usize> {
+fn find_ready_column(ch: &Channel, now: MemCycle) -> Option<u32> {
     let is_write = ch.write_drain;
     if !data_bus_available(ch, now, is_write) {
         return None;
@@ -69,24 +89,27 @@ fn find_ready_column(ch: &Channel, now: MemCycle) -> Option<usize> {
     })
 }
 
-fn find_activatable(ch: &Channel, now: MemCycle) -> Option<usize> {
+fn find_activatable(ch: &Channel, now: MemCycle) -> Option<u32> {
     first_with_demand_priority(ch, |q| {
         ch.banks[ch.bank_index(q.coord)].can_activate(now)
-            && ch.ranks[q.coord.rank as usize].can_activate(now, &ch.timing)
+            && ch.ranks[q.coord.rank as usize].can_activate(now)
     })
 }
 
-fn find_prechargeable(ch: &Channel, now: MemCycle) -> Option<usize> {
-    ch.active_queue().entries.iter().position(|q| {
-        let idx = ch.bank_index(q.coord);
-        let bank = &ch.banks[idx];
-        match bank.open_row() {
-            Some(open) if open != q.coord.row => {
-                !pending_open_row_hit(ch, idx) && bank.can_precharge(now)
+fn find_prechargeable(ch: &Channel, now: MemCycle) -> Option<u32> {
+    entries(ch.active_queue())
+        .into_iter()
+        .find(|(_, q)| {
+            let idx = ch.bank_index(q.coord);
+            let bank = &ch.banks[idx];
+            match bank.open_row() {
+                Some(open) if open != q.coord.row => {
+                    !pending_open_row_hit(ch, idx) && bank.can_precharge(now)
+                }
+                _ => false,
             }
-            _ => false,
-        }
-    })
+        })
+        .map(|(i, _)| i)
 }
 
 /// The command the scan-based FR-FCFS arbiter issues at `now`.
@@ -100,11 +123,11 @@ fn pick(ch: &Channel, now: MemCycle) -> Option<Command> {
     find_prechargeable(ch, now).map(Command::Precharge)
 }
 
-/// Whether the column serving active-queue entry `pos` auto-precharges:
+/// Whether the column serving active-queue slot `slot` auto-precharges:
 /// under the close-row policy, when no other queued transaction (either
 /// queue) targets the same bank and row.
-fn column_auto_precharges(ch: &Channel, pos: usize) -> bool {
-    let target = &ch.active_queue().entries[pos];
+fn column_auto_precharges(ch: &Channel, slot: u32) -> bool {
+    let target = ch.active_queue().entry(slot);
     let same = |q: &Queued| {
         q.id != target.id
             && q.coord.rank == target.coord.rank
@@ -112,8 +135,8 @@ fn column_auto_precharges(ch: &Channel, pos: usize) -> bool {
             && q.coord.row == target.coord.row
     };
     ch.policy == RowPolicy::Close
-        && !ch.read_queue.entries.iter().any(same)
-        && !ch.write_queue.entries.iter().any(same)
+        && !entries(&ch.read_queue).iter().any(|(_, q)| same(q))
+        && !entries(&ch.write_queue).iter().any(|(_, q)| same(q))
 }
 
 /// A lower bound on the cycle `q` could trigger any command, assuming
@@ -139,9 +162,7 @@ fn earliest_possible_issue(ch: &Channel, q: &Queued, is_write: bool) -> MemCycle
             }
             t.max(free.saturating_sub(data_latency))
         }
-        None => bank
-            .earliest_activate()
-            .max(rank.earliest_activate(&ch.timing)),
+        None => bank.earliest_activate().max(rank.earliest_activate()),
         Some(_) => {
             if pending_open_row_hit(ch, idx) {
                 MemCycle::MAX
@@ -164,23 +185,25 @@ fn next_event_at(ch: &Channel, now: MemCycle) -> MemCycle {
     for r in &ch.ranks {
         t = t.min(r.refresh_until().unwrap_or(r.refresh_due()));
     }
-    for q in &ch.active_queue().entries {
+    for (_, q) in entries(ch.active_queue()) {
         t = t.min(earliest_possible_issue(ch, q, ch.write_drain));
     }
     t.max(now)
 }
 
-/// Re-counts both queues' per-bank index from their entries.
+/// Rebuilds both queues' per-bank lists and counters from the
+/// seq-sorted slab and compares them with the kept ones.
 fn assert_index_matches_queues(ch: &Channel, now: MemCycle) {
     for (name, queue) in [("read", &ch.read_queue), ("write", &ch.write_queue)] {
-        let mut queued = vec![0u32; ch.banks.len()];
-        let mut hits = vec![0u32; ch.banks.len()];
-        let mut occupied = 0u64;
-        let mut demand = vec![0u32; ch.banks.len()];
-        let mut demand_occupied = 0u64;
-        for q in &queue.entries {
+        let live = entries(queue);
+        assert_eq!(queue.len(), live.len(), "{name} length at cycle {now}");
+        let mut lists = vec![Vec::new(); ch.banks.len()];
+        let mut hits = [0u32; MAX_BANKS];
+        let mut demand = [0u32; MAX_BANKS];
+        let (mut occupied, mut demand_occupied) = (0u64, 0u64);
+        for &(i, q) in &live {
             assert_eq!(q.bank, ch.bank_index(q.coord), "stored bank index");
-            queued[q.bank] += 1;
+            lists[q.bank].push(i);
             hits[q.bank] += u32::from(ch.banks[q.bank].open_row() == Some(q.coord.row));
             occupied |= 1 << q.bank;
             if !q.txn.class.is_speculative() {
@@ -188,7 +211,18 @@ fn assert_index_matches_queues(ch: &Channel, now: MemCycle) {
                 demand_occupied |= 1 << q.bank;
             }
         }
-        assert_eq!(queue.queued, queued, "{name} queued counts at cycle {now}");
+        for (b, want) in lists.iter().enumerate() {
+            let forward: Vec<u32> = queue.bank_slots(b).collect();
+            assert_eq!(&forward, want, "{name} bank {b} list at cycle {now}");
+            let mut backward = Vec::new();
+            let mut i = queue.tail[b];
+            while i != NIL {
+                backward.push(i);
+                i = queue.slab[i as usize].prev;
+            }
+            backward.reverse();
+            assert_eq!(&backward, want, "{name} bank {b} back links at cycle {now}");
+        }
         assert_eq!(queue.hits, hits, "{name} hit counts at cycle {now}");
         assert_eq!(
             queue.occupied, occupied,
@@ -215,6 +249,7 @@ struct Coverage {
     forwarded: u64,
     promoted: u64,
     rejected: u64,
+    quiet_ticks: u64,
 }
 
 struct Rng(u64);
@@ -283,10 +318,11 @@ fn run_against_reference(
             } else {
                 Transaction::read(b, TrafficClass::BulkRead, 0)
             };
-            let coalesces = txn.is_write && ch.write_queue.entries.iter().any(|q| q.txn.block == b);
-            let forwards = !txn.is_write
-                && ch.has_room(false)
-                && ch.write_queue.entries.iter().any(|q| q.txn.block == b);
+            let queued_write = entries(&ch.write_queue)
+                .iter()
+                .any(|(_, q)| q.txn.block == b);
+            let coalesces = txn.is_write && queued_write;
+            let forwards = !txn.is_write && ch.has_room(false) && queued_write;
             next_id += 1;
             if ch.enqueue(TransactionId(next_id), txn, coord, now) {
                 cov.coalesced += u64::from(coalesces);
@@ -297,45 +333,53 @@ fn run_against_reference(
         }
         if rng.below(16) == 0 {
             let b = block(&mut rng);
-            cov.promoted += u64::from(ch.promote_to_demand(b));
+            cov.promoted += u64::from(ch.promote_to_demand(b, mapper.decode(b)));
         }
         assert_eq!(
             ch.next_event_at(now),
             next_event_at(&ch, now),
             "next_event_at at cycle {now}"
         );
-        // The body of `Channel::tick`, with the arbiter's choice checked
-        // before it issues.
+        // The body of `Channel::step`, with the arbiter's choice checked
+        // before it issues and the quiet horizon after.
         let drain = ch.write_drain;
         let refreshes = ch.energy.refreshes;
         ch.retire_in_flight(now, &mut done);
-        ch.account_background(now);
+        ch.account_background();
         ch.update_drain_mode();
         cov.drain_flips += u64::from(ch.write_drain != drain);
         if !ch.service_refresh(now) {
+            let scan = ch.scan(now);
             let want = pick(&ch, now);
-            assert_eq!(ch.pick(now), want, "command at cycle {now}");
+            assert_eq!(ch.pick(scan.gates), want, "command at cycle {now}");
             if let Some(cmd) = want {
-                let (pos, closes) = match cmd {
-                    Command::Column(pos) => {
+                let (slot, closes) = match cmd {
+                    Command::Column(slot) => {
                         cov.columns += 1;
-                        (pos, column_auto_precharges(&ch, pos))
+                        (slot, column_auto_precharges(&ch, slot))
                     }
-                    Command::Activate(pos) => {
+                    Command::Activate(slot) => {
                         cov.activates += 1;
-                        (pos, false)
+                        (slot, false)
                     }
-                    Command::Precharge(pos) => {
+                    Command::Precharge(slot) => {
                         cov.conflict_precharges += 1;
-                        (pos, true)
+                        (slot, true)
                     }
                 };
-                let bank = ch.active_queue().entries[pos].bank;
+                let bank = ch.active_queue().entry(slot).bank;
                 ch.issue(cmd, now);
                 assert_eq!(
                     ch.banks[bank].open_row().is_none(),
                     closes,
                     "{cmd:?} left bank {bank} in the wrong state at cycle {now}"
+                );
+            } else {
+                cov.quiet_ticks += 1;
+                assert_eq!(
+                    ch.quiet_horizon(scan.horizon, now + 1),
+                    next_event_at(&ch, now + 1),
+                    "quiet horizon at cycle {now}"
                 );
             }
         }
@@ -368,6 +412,7 @@ fn indexed_scheduler_matches_scan_reference_under_random_traffic() {
         ("forwarded reads", cov.forwarded),
         ("promotions", cov.promoted),
         ("full-queue rejections", cov.rejected),
+        ("ticks that issue nothing", cov.quiet_ticks),
     ] {
         assert!(n > 0, "random traffic never exercised {what}");
     }

@@ -212,7 +212,7 @@ impl MemoryController {
     /// (called when a demand access merges into a prefetch MSHR).
     pub fn promote_to_demand(&mut self, block: bump_types::BlockAddr) -> bool {
         let coord = self.mapper.decode(block);
-        self.channels[coord.channel as usize].promote_to_demand(block)
+        self.channels[coord.channel as usize].promote_to_demand(block, coord)
     }
 
     /// Advances every channel by one memory cycle, appending completions.

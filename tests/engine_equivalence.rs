@@ -219,3 +219,31 @@ fn event_engine_work_counts_are_pinned() {
     assert_eq!(calls(Phase::StormReplay), 51_327, "storm rounds");
     assert_eq!(calls(Phase::FastForward), 13_534, "fast-forward calls");
 }
+
+#[test]
+fn telemetry_work_counts_are_pinned() {
+    // Telemetry's deterministic cost on the same cell: `System::run`
+    // ends an engine run at every sample instant and the next run
+    // resumes with a full step, so a fixed stride adds an exact number
+    // of full steps over the telemetry-off count pinned above (13,535).
+    // Like those counts, these repeat bit for bit; a change to either
+    // is deliberate and is explained in CHANGES.md.
+    let o = opts(Engine::Event, 42);
+    let mut cfg = config_for(Preset::FullRegion, Workload::WebSearch, o);
+    cfg.instruments = Instruments {
+        profile: true,
+        telemetry: Some(1024),
+    };
+    let report = run_experiment_with_config(cfg, o);
+    let steps = report
+        .phase
+        .expect("profiling was requested")
+        .sample(Phase::CoreTick)
+        .calls;
+    assert_eq!(
+        report.cycles, 325_847,
+        "telemetry leaves the measured cycles alone"
+    );
+    assert_eq!(steps, 13_809, "full steps with telemetry every 1024 cycles");
+    assert_eq!(steps - 13_535, 274, "full steps telemetry adds");
+}
