@@ -373,13 +373,14 @@ pub struct Channel {
     /// a cycle strictly below it is a provable no-op (only background
     /// energy accounting). `None` means "unknown — take the full tick".
     horizon: Option<MemCycle>,
-    /// Column commands issued so far. Columns are the only commands
-    /// that pop a queue entry, i.e. the only events that can open room
-    /// for a backpressured transaction — the event loop watches this to
-    /// know when an enqueue retry could succeed.
-    columns_issued: u64,
-    /// Columns that hit the open row at issue time. Together with
-    /// `columns_issued` this gives the telemetry sampler a per-channel
+    /// Whether a column issued since the controller last drained its
+    /// backlog into this channel (the drain clears it). Columns are the
+    /// only commands that pop a queue entry, i.e. the only events that
+    /// can open room for a refused transaction.
+    pub(crate) column_since_drain: bool,
+    /// Columns that hit the open row at issue time since the last
+    /// [`Channel::reset_stats`]. Together with the read and write
+    /// bursts this gives the telemetry sampler a per-channel
     /// bandwidth/row-locality gauge without walking completions.
     row_hits_issued: u64,
 }
@@ -437,7 +438,7 @@ impl Channel {
             energy: DramEnergyCounters::default(),
             auditor: audit.then(TimingAuditor::new),
             horizon: None,
-            columns_issued: 0,
+            column_since_drain: false,
             row_hits_issued: 0,
         }
     }
@@ -470,9 +471,11 @@ impl Channel {
         &self.energy
     }
 
-    /// Zeroes the energy counters (warmup/measurement boundary).
-    pub fn reset_energy(&mut self) {
+    /// Zeroes the energy and row-hit counters (warmup/measurement
+    /// boundary).
+    pub fn reset_stats(&mut self) {
         self.energy = DramEnergyCounters::default();
+        self.row_hits_issued = 0;
     }
 
     /// The auditor's verdicts (only present when auditing is enabled).
@@ -674,12 +677,8 @@ impl Channel {
         self.energy.idle_rank_cycles += (self.ranks.len() as u64 - active) * cycles;
     }
 
-    /// Column commands issued so far (the queue-popping events).
-    pub fn columns_issued(&self) -> u64 {
-        self.columns_issued
-    }
-
-    /// Columns issued that hit the already-open row.
+    /// Columns issued that hit the already-open row, since the last
+    /// [`Channel::reset_stats`].
     pub fn row_hits_issued(&self) -> u64 {
         self.row_hits_issued
     }
@@ -942,7 +941,7 @@ impl Channel {
     }
 
     fn issue_column(&mut self, slot: u32, now: MemCycle) {
-        self.columns_issued += 1;
+        self.column_since_drain = true;
         let is_write = self.write_drain;
         let q = self.active_queue_mut().remove_hit(slot);
         let bank_idx = q.bank;

@@ -1,14 +1,16 @@
-//! The memory controller facade: address mapping, channel fan-out, and
-//! system-wide DRAM statistics.
+//! The memory controller facade: address mapping, admission of
+//! submitted transactions into the channels' queues, channel fan-out,
+//! and system-wide DRAM statistics.
 
 use crate::channel::{Channel, RowPolicy, WriteQueueConfig};
 use crate::energy::DramEnergyCounters;
-use crate::mapping::AddressMapper;
+use crate::mapping::{AddressMapper, DramCoord};
 use crate::transaction::{Completion, Transaction, TransactionId};
 use bump_types::{
-    DramEnergyParams, DramGeometry, DramTiming, Interleaving, MemCycle, MemSpec, Ratio,
+    BlockAddr, DramEnergyParams, DramGeometry, DramTiming, Interleaving, MemCycle, MemSpec, Ratio,
     TrafficClass,
 };
+use std::collections::VecDeque;
 
 /// Complete configuration of the memory system.
 #[derive(Clone, Copy, Debug)]
@@ -138,12 +140,26 @@ impl DramStats {
     }
 }
 
-/// The processor-side memory controller: one scheduler per channel.
+/// The submitted transactions waiting for room in one channel's
+/// queues, in submission order, each with its decoded coordinate.
+#[derive(Debug, Default)]
+struct Backlog {
+    txns: VecDeque<(Transaction, DramCoord)>,
+    /// Whether every transaction in `txns` was refused at the last
+    /// drain (set by the drain, cleared by every submit). While it
+    /// holds, a retry can only succeed after the channel issues a
+    /// column — the one command that pops a queue entry.
+    refused: bool,
+}
+
+/// The processor-side memory controller: one scheduler per channel,
+/// each fed from its own backlog of submitted transactions.
 #[derive(Debug)]
 pub struct MemoryController {
     config: DramConfig,
     mapper: AddressMapper,
     channels: Vec<Channel>,
+    backlogs: Vec<Backlog>,
     next_id: u64,
     stats: DramStats,
 }
@@ -170,6 +186,9 @@ impl MemoryController {
             config,
             mapper,
             channels,
+            backlogs: (0..config.geometry.channels)
+                .map(|_| Backlog::default())
+                .collect(),
             next_id: 0,
             stats: DramStats::default(),
         }
@@ -185,7 +204,8 @@ impl MemoryController {
         &self.mapper
     }
 
-    /// Attempts to enqueue `txn` at memory cycle `now`.
+    /// Attempts to enqueue `txn` at memory cycle `now`, bypassing the
+    /// backlog.
     ///
     /// # Errors
     ///
@@ -198,21 +218,90 @@ impl MemoryController {
     ) -> Result<TransactionId, EnqueueError> {
         let coord = self.mapper.decode(txn.block);
         let ch = &mut self.channels[coord.channel as usize];
-        if !ch.has_room(txn.is_write) {
-            return Err(EnqueueError::QueueFull);
-        }
-        let id = TransactionId(self.next_id);
-        self.next_id += 1;
-        let ok = ch.enqueue(id, txn, coord, now);
-        debug_assert!(ok, "has_room said yes but enqueue failed");
-        Ok(id)
+        admit(ch, &mut self.next_id, txn, coord, now)
     }
 
-    /// Promotes a queued speculative read of `block` to demand priority
-    /// (called when a demand access merges into a prefetch MSHR).
-    pub fn promote_to_demand(&mut self, block: bump_types::BlockAddr) -> bool {
+    /// Appends `txn` to its channel's backlog; a later drain moves it
+    /// into the channel's queue once there is room.
+    pub fn submit(&mut self, txn: Transaction) {
+        let coord = self.mapper.decode(txn.block);
+        let backlog = &mut self.backlogs[coord.channel as usize];
+        backlog.txns.push_back((txn, coord));
+        backlog.refused = false;
+    }
+
+    /// Offers each channel's backlog to its queues at memory cycle
+    /// `now`, oldest first, the oracle way: every waiting transaction,
+    /// every cycle. Refused transactions keep their place.
+    pub fn drain(&mut self, now: MemCycle) {
+        self.drain_backlogs(now, false);
+    }
+
+    /// Event-driven variant of [`MemoryController::drain`], with the
+    /// same outcome. It skips a channel whose backlog was wholly refused
+    /// and that has issued no column since, and within a channel it
+    /// stops offering reads (or writes) at their first refusal: room
+    /// depends only on that queue's length, which a drain can only grow.
+    pub fn drain_event(&mut self, now: MemCycle) {
+        self.drain_backlogs(now, true);
+    }
+
+    fn drain_backlogs(&mut self, now: MemCycle, event: bool) {
+        let next_id = &mut self.next_id;
+        for (ch, backlog) in self.channels.iter_mut().zip(&mut self.backlogs) {
+            if backlog.txns.is_empty() {
+                continue; // the next submit clears `refused`
+            }
+            let column = std::mem::take(&mut ch.column_since_drain);
+            if event && backlog.refused && !column {
+                continue;
+            }
+            // Whether reads (0) and writes (1) stopped at a refusal.
+            let mut full = [false; 2];
+            backlog.txns.retain(|&(txn, coord)| {
+                let dir = usize::from(txn.is_write);
+                if full[dir] {
+                    return true;
+                }
+                let refused = admit(ch, next_id, txn, coord, now).is_err();
+                full[dir] = refused && event;
+                refused
+            });
+            backlog.refused = true;
+        }
+    }
+
+    /// Whether some channel's backlog might enqueue at the next drain:
+    /// it holds a transaction not yet refused, or the channel issued a
+    /// column since the refusal. While it is false,
+    /// [`MemoryController::drain_event`] is a no-op. Inlined: the event
+    /// engine asks once per quiet-span iteration.
+    #[inline]
+    pub fn drain_due(&self) -> bool {
+        self.channels
+            .iter()
+            .zip(&self.backlogs)
+            .any(|(ch, b)| !b.txns.is_empty() && (!b.refused || ch.column_since_drain))
+    }
+
+    /// Promotes a speculative read of `block`, queued or still in the
+    /// backlog, to demand priority (called when a demand access merges
+    /// into a prefetch MSHR). Returns whether such a read was found.
+    pub fn promote_to_demand(&mut self, block: BlockAddr) -> bool {
         let coord = self.mapper.decode(block);
-        self.channels[coord.channel as usize].promote_to_demand(block, coord)
+        let c = coord.channel as usize;
+        if self.channels[c].promote_to_demand(block, coord) {
+            return true;
+        }
+        let backlog = &mut self.backlogs[c].txns;
+        let found = backlog
+            .iter_mut()
+            .find(|(t, _)| t.block == block && t.class.is_speculative());
+        let Some((t, _)) = found else {
+            return false;
+        };
+        t.class = TrafficClass::Demand;
+        true
     }
 
     /// Advances every channel by one memory cycle, appending completions.
@@ -261,36 +350,19 @@ impl MemoryController {
         }
     }
 
-    /// The channel `block` maps to.
-    pub fn channel_of(&self, block: bump_types::BlockAddr) -> usize {
-        self.mapper.decode(block).channel as usize
-    }
-
-    /// Column commands issued on channel `channel` — the only events
-    /// that pop its queue entries and so unblock backpressured
-    /// enqueues to it.
-    pub fn columns_issued_on(&self, channel: usize) -> u64 {
-        self.channels[channel].columns_issued()
-    }
-
     /// Number of channels.
     pub fn channel_count(&self) -> usize {
         self.channels.len()
     }
 
-    /// Per-channel `(columns issued, row hits at issue)` cumulative
-    /// counters, in channel order — the telemetry sampler's bandwidth
-    /// and row-locality gauges. Neither counter is cleared by
-    /// [`MemoryController::reset_stats`] (the event loop's drain logic
-    /// watches `columns_issued_on` monotonically); samplers difference
-    /// against a base snapshot instead.
-    pub fn channel_activity(&self, out: &mut Vec<(u64, u64)>) {
-        out.clear();
-        out.extend(
-            self.channels
-                .iter()
-                .map(|c| (c.columns_issued(), c.row_hits_issued())),
-        );
+    /// Per-channel `(columns issued, row hits at issue)` since the last
+    /// [`MemoryController::reset_stats`], in channel order — the
+    /// telemetry sampler's bandwidth and row-locality gauges.
+    pub fn channel_activity(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.channels.iter().map(|c| {
+            let e = c.energy();
+            (e.reads + e.writes, c.row_hits_issued())
+        })
     }
 
     /// The earliest cycle an in-flight read completes on any channel.
@@ -334,12 +406,13 @@ impl MemoryController {
         &self.stats
     }
 
-    /// Zeroes statistics and energy counters without disturbing bank
-    /// state or queued transactions (warmup/measurement boundary).
+    /// Zeroes statistics, energy and per-channel activity counters
+    /// without disturbing bank state or queued and backlogged
+    /// transactions (warmup/measurement boundary).
     pub fn reset_stats(&mut self) {
         self.stats = DramStats::default();
         for ch in &mut self.channels {
-            ch.reset_energy();
+            ch.reset_stats();
         }
     }
 
@@ -362,19 +435,42 @@ impl MemoryController {
     }
 
     /// Sum of queued transactions across channels (for backpressure
-    /// introspection and tests).
+    /// introspection and tests); backlogged ones are not counted.
     pub fn queued(&self) -> usize {
         self.channels
             .iter()
             .map(|c| c.read_queue_len() + c.write_queue_len())
             .sum()
     }
+
+    /// Sum of submitted transactions still waiting in the backlogs.
+    pub fn backlogged(&self) -> usize {
+        self.backlogs.iter().map(|b| b.txns.len()).sum()
+    }
+}
+
+/// Enqueues `txn`, mapped to `coord`, on `ch` under the next
+/// transaction id, or refuses it when the target queue is full.
+fn admit(
+    ch: &mut Channel,
+    next_id: &mut u64,
+    txn: Transaction,
+    coord: DramCoord,
+    now: MemCycle,
+) -> Result<TransactionId, EnqueueError> {
+    if !ch.has_room(txn.is_write) {
+        return Err(EnqueueError::QueueFull);
+    }
+    let id = TransactionId(*next_id);
+    *next_id += 1;
+    let ok = ch.enqueue(id, txn, coord, now);
+    debug_assert!(ok, "has_room said yes but enqueue failed");
+    Ok(id)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bump_types::BlockAddr;
 
     fn read(i: u64) -> Transaction {
         Transaction::read(BlockAddr::from_index(i), TrafficClass::Demand, 0)
@@ -510,6 +606,72 @@ mod tests {
             assert_eq!(mc.audit_errors(), 0, "config {:?}", mc.config().policy);
             assert!(done.len() > 1000);
         }
+    }
+
+    /// The first `n` blocks that map to channel 0.
+    fn channel0_blocks(mc: &MemoryController, n: usize) -> Vec<BlockAddr> {
+        (0..)
+            .map(BlockAddr::from_index)
+            .filter(|&b| mc.mapper().decode(b).channel == 0)
+            .take(n)
+            .collect()
+    }
+
+    fn columns(mc: &MemoryController) -> u64 {
+        mc.channel_activity().map(|(cols, _)| cols).sum()
+    }
+
+    #[test]
+    fn refused_backlog_stays_not_due_across_reset_stats_until_a_column_issues() {
+        let mut mc = MemoryController::new(DramConfig::paper_open_row());
+        for b in channel0_blocks(&mc, 80) {
+            mc.submit(Transaction::read(b, TrafficClass::Demand, 0));
+        }
+        assert!(mc.drain_due(), "a fresh submission is due");
+        mc.drain_event(0);
+        assert_eq!((mc.queued(), mc.backlogged()), (64, 16));
+        assert!(!mc.drain_due(), "the rest was refused");
+        mc.reset_stats();
+        assert!(!mc.drain_due(), "a stats reset opens no room");
+        let mut done = Vec::new();
+        let mut now = 0;
+        while columns(&mc) == 0 {
+            assert!(!mc.drain_due(), "due at {now} before any column");
+            now += 1;
+            mc.tick_event(now, &mut done);
+        }
+        assert!(mc.drain_due(), "the column at {now} popped an entry");
+        mc.drain_event(now);
+        assert_eq!((mc.queued(), mc.backlogged()), (64, 15));
+        assert!(!mc.drain_due(), "the retry was refused again");
+    }
+
+    #[test]
+    fn promotion_reaches_a_backlogged_speculative_read() {
+        let mut mc = MemoryController::new(DramConfig::paper_open_row());
+        let blocks = channel0_blocks(&mc, 66);
+        for &b in &blocks[..64] {
+            mc.submit(Transaction::read(b, TrafficClass::Demand, 0));
+        }
+        let (bulk, demand) = (blocks[64], blocks[65]);
+        mc.submit(Transaction::read(bulk, TrafficClass::BulkRead, 0));
+        mc.submit(Transaction::read(demand, TrafficClass::Demand, 0));
+        mc.drain(0);
+        assert_eq!((mc.queued(), mc.backlogged()), (64, 2));
+        assert!(mc.promote_to_demand(bulk), "the backlogged bulk read");
+        assert!(!mc.promote_to_demand(bulk), "already demand");
+        assert!(
+            !mc.promote_to_demand(demand),
+            "demand reads stay as they are"
+        );
+        let mut done = Vec::new();
+        for now in 1..20_000 {
+            mc.drain(now);
+            mc.tick(now, &mut done);
+        }
+        let served = done.iter().find(|c| c.txn.block == bulk).expect("served");
+        assert_eq!(served.txn.class, TrafficClass::Demand);
+        assert_eq!(mc.stats().demand_reads_completed, 66);
     }
 
     /// Every platform preset fits the scheduler's 64-bank-per-channel

@@ -118,7 +118,7 @@ pub struct SimReport {
     /// depends on.
     pub phase: Option<crate::phase::PhaseProfile>,
     /// Sim-time gauge series, `Some` only when telemetry was enabled
-    /// for the run ([`crate::System::enable_telemetry`]). Like `phase`,
+    /// for the run ([`crate::Instruments::telemetry`]). Like `phase`,
     /// `None` renders identically in both engines; when enabled, the
     /// series itself must be byte-identical across engines
     /// (`tests/telemetry_equivalence.rs`).

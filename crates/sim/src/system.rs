@@ -1,9 +1,10 @@
 //! The cycle-driven full-system model.
 //!
 //! Per CPU cycle the system: delivers due core responses, then due NOC
-//! messages (LLC requests, L1 writebacks), ticks every core, drains the
-//! LLC-miss→DRAM issue queues under backpressure, advances the memory
-//! controller in its own clock domain, and feeds the LLC event stream
+//! messages (LLC requests, L1 writebacks), ticks every core, has the
+//! memory controller drain its backlog of submitted transactions into
+//! its queues under backpressure, advances the controller in its own
+//! clock domain, and feeds the LLC event stream
 //! to whichever mechanism the preset configures (stride/SMS prefetcher,
 //! VWQ, BuMP, or the Full-region strawman).
 
@@ -22,7 +23,6 @@ use bump_prefetch::{Prefetcher, SmsPrefetcher, StridePrefetcher};
 use bump_types::{AccessKind, BlockAddr, CoreId, Cycle, MemCycle, MemoryRequest, TrafficClass};
 use bump_vwq::VirtualWriteQueue;
 use bump_workloads::WorkloadGen;
-use std::collections::VecDeque;
 
 /// An uncore NOC delivery. Core responses travel in their own queue
 /// ([`System::responses`]): a response touches only its core, so it
@@ -292,20 +292,6 @@ impl StormState {
     }
 }
 
-/// The transactions waiting for room in one DRAM channel's queues, in
-/// the order the system produced them.
-#[derive(Debug, Default)]
-struct ChannelBacklog {
-    txns: VecDeque<Transaction>,
-    /// Whether every transaction in `txns` was refused at the last
-    /// drain (set by the drain, cleared by every push). While it holds,
-    /// a retry can only succeed after the channel issues a column — the
-    /// one command that pops a queue entry.
-    refused: bool,
-    /// The channel's column count at the last drain.
-    columns_at_drain: u64,
-}
-
 /// The simulated chip + memory system.
 #[derive(Debug)]
 pub struct System {
@@ -333,9 +319,6 @@ pub struct System {
     responses: DeliveryQueue<(CoreId, BlockAddr)>,
     /// Parked Full-region retry batches (event engine).
     storm: StormState,
-    /// Transactions waiting for room in the memory controller, one
-    /// backlog per channel.
-    backlog: Vec<ChannelBacklog>,
     mem_cycle: MemCycle,
     mem_clock_acc: u64,
 
@@ -348,12 +331,6 @@ pub struct System {
     /// Sim-time gauge sampler; `None` by default. Only [`System::run`]
     /// reads it, between engine runs.
     telemetry: Option<Box<TelemetrySampler>>,
-    /// Per-channel (columns, row hits) at telemetry enable/reset.
-    /// Channel counters are monotone across `reset_stats` (the drain
-    /// fast-path watches them), so samples difference against this base.
-    telemetry_dram_base: Vec<(u64, u64)>,
-    /// Scratch for channel-activity snapshots.
-    telemetry_dram_scratch: Vec<(u64, u64)>,
     /// Full-region retries currently parked by the *cycle* engine (each
     /// is an individually scheduled [`Pending::StormRetryOne`]); the
     /// event engine derives the same gauge from its batches.
@@ -406,9 +383,6 @@ impl System {
             events: DeliveryQueue::default(),
             responses: DeliveryQueue::default(),
             storm: StormState::default(),
-            backlog: (0..cfg.dram.geometry.channels)
-                .map(|_| ChannelBacklog::default())
-                .collect(),
             mem_cycle: 0,
             mem_clock_acc: 0,
             traffic: TrafficBreakdown::default(),
@@ -416,8 +390,6 @@ impl System {
             measured_cycles: 0,
             spec_dropped: 0,
             telemetry: None,
-            telemetry_dram_base: Vec::new(),
-            telemetry_dram_scratch: Vec::new(),
             storm_parked: 0,
             scratch_requests: Vec::new(),
             scratch_writebacks: Vec::new(),
@@ -464,30 +436,21 @@ impl System {
         self.phase.enable();
     }
 
-    /// Switches the sim-time telemetry sampler on: every `stride`
-    /// measured cycles (positive) the system snapshots its
-    /// architectural gauges, and the final report's `telemetry` field
-    /// becomes `Some`. Sampling is keyed on the measured-cycle counter,
-    /// so both engines observe identical instants and produce
-    /// byte-identical series; it reads counters the simulation already
-    /// maintains, so every simulated outcome stays byte-identical with
-    /// it on or off.
-    pub fn enable_telemetry(&mut self, stride: u64) {
+    /// Switches the sim-time telemetry sampler on (from
+    /// [`System::new`], before any cycle runs): every `stride` measured
+    /// cycles (positive) the system snapshots its architectural gauges,
+    /// and the final report's `telemetry` field becomes `Some`.
+    /// Sampling is keyed on the measured-cycle counter, so both engines
+    /// observe identical instants and produce byte-identical series; it
+    /// reads counters the simulation already maintains, so every
+    /// simulated outcome stays byte-identical with it on or off. Like
+    /// every sampled counter, the per-channel DRAM gauges count from
+    /// the last stats reset.
+    fn enable_telemetry(&mut self, stride: u64) {
         let channels = self.mc.channel_count() as u32;
         let cores = self.bank.len() as u32;
         self.telemetry = Some(Box::new(TelemetrySampler::new(stride, channels, cores)));
-        self.telemetry_rebase();
         self.telemetry_capture();
-    }
-
-    /// Re-anchors the cumulative-counter base for counters that survive
-    /// `reset_stats` (the monotone per-channel DRAM activity).
-    fn telemetry_rebase(&mut self) {
-        let mut act = std::mem::take(&mut self.telemetry_dram_scratch);
-        self.mc.channel_activity(&mut act);
-        self.telemetry_dram_base.clear();
-        self.telemetry_dram_base.extend_from_slice(&act);
-        self.telemetry_dram_scratch = act;
     }
 
     /// Captures one telemetry point at the current measured cycle (the
@@ -496,16 +459,7 @@ impl System {
         let Some(mut sampler) = self.telemetry.take() else {
             return;
         };
-        let mut act = std::mem::take(&mut self.telemetry_dram_scratch);
-        self.mc.channel_activity(&mut act);
-        let mut dram_columns = Vec::with_capacity(act.len());
-        let mut dram_row_hits = Vec::with_capacity(act.len());
-        for (i, (cols, hits)) in act.iter().enumerate() {
-            let (base_cols, base_hits) = self.telemetry_dram_base[i];
-            dram_columns.push(cols - base_cols);
-            dram_row_hits.push(hits - base_hits);
-        }
-        self.telemetry_dram_scratch = act;
+        let (dram_columns, dram_row_hits) = self.mc.channel_activity().unzip();
         // The parked-retry and queue-depth gauges must agree across
         // engines: the event engine's queue holds one marker per parked
         // batch where the oracle's holds each member retry, so markers
@@ -572,9 +526,7 @@ impl System {
             (TrafficClass::DemandWriteback, _) => self.traffic.demand_writebacks += 1,
             (TrafficClass::EagerWriteback, _) => self.traffic.eager_writebacks += 1,
         }
-        let backlog = &mut self.backlog[self.mc.channel_of(txn.block)];
-        backlog.txns.push_back(txn);
-        backlog.refused = false;
+        self.mc.submit(txn);
     }
 
     fn handle_llc_request(&mut self, req: MemoryRequest) {
@@ -607,16 +559,7 @@ impl System {
                     // A demand merged into an in-flight speculative
                     // fetch: promote the DRAM transaction so the
                     // prefetch inherits demand priority.
-                    if !self.mc.promote_to_demand(req.block) {
-                        let backlog = &mut self.backlog[self.mc.channel_of(req.block)];
-                        if let Some(t) = backlog
-                            .txns
-                            .iter_mut()
-                            .find(|t| t.block == req.block && t.class.is_speculative())
-                        {
-                            t.class = TrafficClass::Demand;
-                        }
-                    }
+                    self.mc.promote_to_demand(req.block);
                 }
             }
             AccessAction::MshrFull => {
@@ -808,41 +751,12 @@ impl System {
         }
     }
 
-    /// Offers each channel's backlog to the memory controller, oldest
-    /// first; refused transactions keep their place.
-    ///
-    /// The oracle offers every transaction every cycle. The event engine
-    /// skips a channel whose backlog was wholly refused and that has
-    /// issued no column since, and within a channel it stops offering
-    /// reads (or writes) at their first refusal: `has_room` depends only
-    /// on that queue's length, which a drain can only grow.
+    /// Offers the memory controller's backlogs to its queues (see
+    /// [`MemoryController::drain`] and its event-engine variant).
     fn drain_dram_queue(&mut self) {
-        let event = self.cfg.engine == Engine::Event;
-        let now = self.mem_cycle;
-        let mc = &mut self.mc;
-        for (c, backlog) in self.backlog.iter_mut().enumerate() {
-            let columns = mc.columns_issued_on(c);
-            if backlog.txns.is_empty()
-                || (event && backlog.refused && columns == backlog.columns_at_drain)
-            {
-                continue;
-            }
-            let (mut reads_full, mut writes_full) = (false, false);
-            backlog.txns.retain(|&txn| {
-                let full = if txn.is_write {
-                    &mut writes_full
-                } else {
-                    &mut reads_full
-                };
-                if *full {
-                    return true;
-                }
-                let refused = mc.try_enqueue(txn, now).is_err();
-                *full = refused && event;
-                refused
-            });
-            backlog.refused = true;
-            backlog.columns_at_drain = columns;
+        match self.cfg.engine {
+            Engine::Cycle => self.mc.drain(self.mem_cycle),
+            Engine::Event => self.mc.drain_event(self.mem_cycle),
         }
     }
 
@@ -1188,7 +1102,7 @@ impl System {
             }
             // The next cycle with uncore work; every cycle before it is
             // null.
-            let next = if self.drain_due() {
+            let next = if self.mc.drain_due() {
                 self.now
             } else {
                 let dram = self.cpu_cycle_for_mem(self.mc.next_event_at(self.mem_cycle));
@@ -1212,15 +1126,6 @@ impl System {
                 self.bank.accrue_idle(i, core_idle_cycles);
             }
         }
-    }
-
-    /// Whether some channel's backlog might enqueue on the next cycle,
-    /// so the drain must really run: it holds a transaction not yet
-    /// refused, or the channel issued a column since the refusal.
-    fn drain_due(&self) -> bool {
-        self.backlog.iter().enumerate().any(|(c, b)| {
-            !b.txns.is_empty() && (!b.refused || self.mc.columns_issued_on(c) != b.columns_at_drain)
-        })
     }
 
     /// The earliest cycle any core could retire, issue, or dispatch,
@@ -1317,10 +1222,9 @@ impl System {
         self.phase.reset();
         if let Some(t) = self.telemetry.as_mut() {
             // Start the measurement window's series fresh: original
-            // stride, new cumulative-counter base, and a new cycle-0
-            // base snapshot of the instantaneous gauges.
+            // stride and a new cycle-0 base snapshot, taken after every
+            // counter it samples was zeroed above.
             t.reset();
-            self.telemetry_rebase();
             self.telemetry_capture();
         }
     }

@@ -41,9 +41,11 @@ pub struct TelemetryPoint {
     /// Measured cycle this point was captured at (0 = the reset-time
     /// base snapshot; all others are multiples of the final stride).
     pub cycle: u64,
-    /// Per-channel DRAM column commands issued, cumulative.
+    /// Per-channel DRAM column commands issued, cumulative from the
+    /// last stats reset (the memory controller zeroes them there).
     pub dram_columns: Vec<u64>,
-    /// Per-channel columns that hit the open row at issue, cumulative.
+    /// Per-channel columns that hit the open row at issue, cumulative
+    /// from the last stats reset.
     pub dram_row_hits: Vec<u64>,
     /// LLC MSHRs in use (instantaneous).
     pub mshr_occupancy: u64,

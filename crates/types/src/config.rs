@@ -386,16 +386,6 @@ impl MemSpec {
             _ => crate::DramEnergyParams::paper(),
         }
     }
-
-    /// Converts a CPU-cycle timestamp into (whole) memory cycles.
-    pub fn cpu_to_mem(&self, cpu_cycle: u64) -> u64 {
-        cpu_cycle * 1000 / self.freq_ratio_milli
-    }
-
-    /// Converts a memory-cycle timestamp into CPU cycles (rounding up).
-    pub fn mem_to_cpu(&self, mem_cycle: u64) -> u64 {
-        (mem_cycle * self.freq_ratio_milli).div_ceil(1000)
-    }
 }
 
 /// Lowercases `s` and strips the separator characters that name
@@ -482,19 +472,6 @@ mod tests {
         assert_eq!(g.blocks_per_row(), 128);
         // 16GB / 64 banks / 8KB rows = 32768 rows per bank.
         assert_eq!(g.rows_per_bank(), 32768);
-    }
-
-    #[test]
-    fn clock_domain_conversion_round_trips_within_one_cycle() {
-        let m = MemSpec::ddr3_1600();
-        for cpu in [0u64, 1, 3, 4, 1000, 12345] {
-            let mem = m.cpu_to_mem(cpu);
-            let back = m.mem_to_cpu(mem);
-            assert!(back <= cpu + 4, "cpu={cpu} mem={mem} back={back}");
-        }
-        // 3.125 CPU cycles per memory cycle.
-        assert_eq!(m.cpu_to_mem(3125), 1000);
-        assert_eq!(m.mem_to_cpu(1000), 3125);
     }
 
     #[test]
