@@ -8,7 +8,7 @@
 use bump::{Bump, BumpConfig};
 use bump_cache::{Llc, LlcConfig};
 use bump_dram::{AddressMapper, Channel, RowPolicy, Transaction, TransactionId, WriteQueueConfig};
-use bump_prefetch::{Prefetcher, SmsPrefetcher, StridePrefetcher};
+use bump_prefetch::{SmsPrefetcher, StridePrefetcher};
 use bump_types::{
     AccessKind, AssocTable, BlockAddr, Interleaving, MemSpec, MemoryRequest, Pc, RegionAddr,
     RegionConfig, TrafficClass,

@@ -608,25 +608,6 @@ impl Llc {
         cleaned
     }
 
-    /// The dirty blocks currently resident in `region` (one probe per
-    /// block, charged to traffic like any eager probe).
-    pub fn dirty_blocks_in_region(
-        &mut self,
-        region: RegionAddr,
-        cfg: RegionConfig,
-        now: Cycle,
-    ) -> Vec<BlockAddr> {
-        let mut out = Vec::new();
-        for block in region.blocks(cfg) {
-            let _ = self.charge_bank(block, now);
-            self.stats.eager_probes += 1;
-            if matches!(self.cache.probe(block), Some(l) if l.meta.dirty) {
-                out.push(block);
-            }
-        }
-        out
-    }
-
     /// Whether `block` is resident.
     pub fn contains(&self, block: BlockAddr) -> bool {
         self.cache.probe(block).is_some()
@@ -831,21 +812,6 @@ mod tests {
         assert!(!llc.is_dirty(b(2)));
         // A clean line evicts silently.
         assert_eq!(llc.evict_for_test(b(2)), Some(EvictionKind::Clean));
-    }
-
-    #[test]
-    fn dirty_blocks_in_region_reports_only_dirty_residents() {
-        let mut llc = Llc::new(LlcConfig::paper());
-        let cfg = RegionConfig::kilobyte();
-        let region = b(32).region(cfg);
-        llc.writeback_from_l1(region.block_at(cfg, 2), 0);
-        llc.writeback_from_l1(region.block_at(cfg, 7), 0);
-        llc.access(demand(region.block_at(cfg, 4).index(), AccessKind::Load), 0);
-        llc.fill(region.block_at(cfg, 4), 10);
-        let dirty = llc.dirty_blocks_in_region(region, cfg, 20);
-        assert_eq!(dirty.len(), 2);
-        assert!(dirty.contains(&region.block_at(cfg, 2)));
-        assert!(dirty.contains(&region.block_at(cfg, 7)));
     }
 
     #[test]

@@ -625,7 +625,7 @@ impl Channel {
     /// only costs a wasted tick; the event engine's equivalence to the
     /// cycle-accurate oracle does not depend on tightness.
     ///
-    /// Costs one [`Channel::scan`]: O(ranks + occupied banks). Each
+    /// Costs one `Channel::scan`: O(ranks + occupied banks). Each
     /// occupied bank of the active queue contributes one bound. With a
     /// pending hit it is the column bound (its conflicting entries wait
     /// for a command on that bank, an event in its own right); an open

@@ -19,9 +19,10 @@
 //!
 //! let mut mc = MemoryController::new(DramConfig::paper_open_row());
 //! let txn = Transaction::read(BlockAddr::from_index(42), TrafficClass::Demand, 0);
-//! mc.try_enqueue(txn, 0).expect("queue empty at reset");
+//! mc.submit(txn);
 //! let mut done = Vec::new();
 //! for cycle in 0..200 {
+//!     mc.drain(cycle);
 //!     mc.tick(cycle, &mut done);
 //! }
 //! assert_eq!(done.len(), 1, "single read completes within 200 mem cycles");
@@ -41,7 +42,7 @@ mod transaction;
 pub use audit::{AuditError, CommandRecord, TimingAuditor};
 pub use bank::{Bank, BankState, CommandKind};
 pub use channel::{Channel, RowPolicy, WriteQueueConfig};
-pub use controller::{DramConfig, DramStats, EnqueueError, MemoryController};
+pub use controller::{DramConfig, DramStats, MemoryController};
 pub use energy::{DramEnergyBreakdown, DramEnergyCounters, DramEnergyParams};
 pub use mapping::{AddressMapper, DramCoord};
 pub use transaction::{Completion, Transaction, TransactionId};

@@ -61,11 +61,13 @@ impl Transaction {
 /// A transaction the controller has finished servicing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Completion {
-    /// Identifier returned by `try_enqueue`.
+    /// Identifier the controller assigned when it admitted the
+    /// transaction into its channel's queue.
     pub id: TransactionId,
     /// The original transaction.
     pub txn: Transaction,
-    /// Cycle the transaction entered the controller.
+    /// Cycle the transaction was admitted into its channel's queue; a
+    /// wait in the controller's backlog before that is not counted.
     pub enqueued_at: MemCycle,
     /// Cycle the data burst finished on the bus.
     pub done_at: MemCycle,

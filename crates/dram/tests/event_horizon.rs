@@ -5,10 +5,11 @@
 //!
 //! 1. `next_event_at(now)` never lies in the past (`>= now`).
 //! 2. Fast-forwarding an idle window — `skip_idle` over the cycles
-//!    `next_event_at` proved null — leaves the controller (banks,
-//!    queues, timers, energy counters) in *exactly* the state that many
-//!    sequential ticks produce, and those ticks complete nothing. This
-//!    horizon-skip-then-tick path also carries every refresh inside a
+//!    `next_event_at` proved null, taken only while `drain_due` is
+//!    false — leaves the controller (banks, queues, backlogs, timers,
+//!    energy counters) in *exactly* the state that many sequential
+//!    drains and ticks produce, and those complete and admit nothing.
+//!    This horizon-skip-then-tick path also carries every refresh inside a
 //!    long idle span, so the property ends each case with an idle tail
 //!    several refresh intervals long.
 //! 3. `tick_event` (the memoized-horizon fast path) produces the same
@@ -67,9 +68,10 @@ fn config(policy: RowPolicy, interleaving: Interleaving) -> DramConfig {
 }
 
 /// Advances both controllers from `*now` to `target` the way the event
-/// engine does: wherever `ticked`'s horizon proves a window null,
-/// `ticked` ticks through it while `skipped` bulk-skips it; every other
-/// cycle both tick. A null window must complete nothing.
+/// engine's quiet span does (`System::fast_forward`): while no drain is
+/// due and `ticked`'s horizon proves a window null, `ticked` drains and
+/// ticks through it while `skipped` bulk-skips it; every other cycle
+/// both drain, then tick. A null window must complete nothing.
 fn advance_skipping(
     ticked: &mut MemoryController,
     skipped: &mut MemoryController,
@@ -80,19 +82,26 @@ fn advance_skipping(
 ) {
     while *now < target {
         let horizon = ticked.next_event_at(*now);
-        if horizon > *now + 1 {
-            // A provably null window: tick one controller through it,
+        if !ticked.drain_due() && horizon > *now + 1 {
+            // A provably null window: run one controller through it,
             // bulk-skip the other.
             let end = horizon.min(target);
-            let before = done_t.len();
+            let before = (done_t.len(), ticked.backlogged());
             for t in *now..end {
+                ticked.drain(t);
                 ticked.tick(t, done_t);
             }
-            assert_eq!(done_t.len(), before, "null window completed a transaction");
+            let after = (done_t.len(), ticked.backlogged());
+            assert_eq!(
+                after, before,
+                "null window completed or admitted a transaction"
+            );
             skipped.skip_idle(end - *now);
             *now = end;
         } else {
+            ticked.drain(*now);
             ticked.tick(*now, done_t);
+            skipped.drain_event(*now);
             skipped.tick(*now, done_s);
             *now += 1;
         }
@@ -111,8 +120,9 @@ proptest! {
         let mut now: MemCycle = 0;
         let mut done = Vec::new();
         for s in &steps {
-            let _ = mc.try_enqueue(txn_for(s), now);
+            mc.submit(txn_for(s));
             for _ in 0..s.gap {
+                mc.drain(now);
                 let horizon = mc.next_event_at(now);
                 prop_assert!(
                     horizon >= now,
@@ -144,10 +154,8 @@ proptest! {
         let mut done_s = Vec::new();
         for s in &steps {
             let t = txn_for(s);
-            prop_assert_eq!(
-                ticked.try_enqueue(t, now).is_ok(),
-                skipped.try_enqueue(t, now).is_ok()
-            );
+            ticked.submit(t);
+            skipped.submit(t);
             let target = now + u64::from(s.gap);
             advance_skipping(&mut ticked, &mut skipped, &mut now, target, &mut done_t, &mut done_s);
             prop_assert_eq!(
@@ -156,8 +164,9 @@ proptest! {
                 "controller state diverged after skip at cycle {}", now
             );
         }
-        // An idle tail of four refresh intervals: the queues drain, and
-        // every later refresh is reached through the horizon alone.
+        // An idle tail of four refresh intervals: the backlogs and
+        // queues drain, and every later refresh is reached through the
+        // horizon alone.
         let refreshes_before = skipped.energy().refreshes;
         let target = now + 4 * cfg.timing.t_refi;
         advance_skipping(&mut ticked, &mut skipped, &mut now, target, &mut done_t, &mut done_s);
@@ -193,22 +202,25 @@ proptest! {
         let mut done_e = Vec::new();
         for s in &steps {
             let t = txn_for(s);
-            prop_assert_eq!(
-                plain.try_enqueue(t, now).is_ok(),
-                event.try_enqueue(t, now).is_ok()
-            );
+            plain.submit(t);
+            event.submit(t);
             for _ in 0..s.gap {
+                plain.drain(now);
                 plain.tick(now, &mut done_p);
+                event.drain_event(now);
                 event.tick_event(now, &mut done_e);
                 now += 1;
             }
         }
-        // Drain both for long enough to retire everything in flight.
+        // Run both for long enough to retire everything submitted.
+        let idle = |mc: &MemoryController| mc.queued() == 0 && mc.backlogged() == 0;
         for _ in 0..200_000 {
+            plain.drain(now);
             plain.tick(now, &mut done_p);
+            event.drain_event(now);
             event.tick_event(now, &mut done_e);
             now += 1;
-            if done_p.len() == done_e.len() && plain.queued() == 0 && event.queued() == 0 {
+            if done_p.len() == done_e.len() && idle(&plain) && idle(&event) {
                 break;
             }
         }

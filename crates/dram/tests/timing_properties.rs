@@ -1,6 +1,9 @@
 //! Property-based tests: arbitrary transaction mixes never produce a
 //! DDR3 timing violation (verified by the independent auditor), never
-//! lose transactions, and keep energy counters consistent.
+//! lose transactions, and keep energy counters consistent. The
+//! controller is driven the way the simulator drives it: submit, then
+//! drain, then tick, every cycle; every submitted transaction, queued
+//! or backlogged, must complete.
 
 use bump_dram::{DramConfig, MemoryController, RowPolicy, Transaction};
 use bump_types::{BlockAddr, Interleaving, TrafficClass};
@@ -32,9 +35,9 @@ fn run_mix(steps: &[Step], policy: RowPolicy, interleaving: Interleaving) -> (us
     let mut mc = MemoryController::new(cfg);
     let mut now = 0u64;
     let mut done = Vec::new();
-    let mut accepted = 0u64;
     for s in steps {
         for _ in 0..s.gap {
+            mc.drain(now);
             mc.tick(now, &mut done);
             now += 1;
         }
@@ -44,19 +47,19 @@ fn run_mix(steps: &[Step], policy: RowPolicy, interleaving: Interleaving) -> (us
         } else {
             Transaction::read(block, TrafficClass::Demand, 0)
         };
-        if mc.try_enqueue(txn, now).is_ok() {
-            accepted += 1;
-        }
+        mc.submit(txn);
     }
-    // Drain: every accepted transaction must complete.
+    // Run on until every submitted transaction has completed.
+    let submitted = steps.len() as u64;
     for _ in 0..300_000 {
-        if done.len() as u64 == accepted {
+        if done.len() as u64 == submitted {
             break;
         }
+        mc.drain(now);
         mc.tick(now, &mut done);
         now += 1;
     }
-    (mc.audit_errors(), accepted, done.len() as u64)
+    (mc.audit_errors(), submitted, done.len() as u64)
 }
 
 proptest! {
@@ -65,17 +68,17 @@ proptest! {
     /// Open-row + region interleaving: legal and lossless.
     #[test]
     fn open_row_region_interleaving_is_legal(s in steps()) {
-        let (errors, accepted, completed) = run_mix(&s, RowPolicy::Open, Interleaving::Region);
+        let (errors, submitted, completed) = run_mix(&s, RowPolicy::Open, Interleaving::Region);
         prop_assert_eq!(errors, 0, "timing violations");
-        prop_assert_eq!(accepted, completed, "transactions lost");
+        prop_assert_eq!(submitted, completed, "transactions lost");
     }
 
     /// Close-row + block interleaving: legal and lossless.
     #[test]
     fn close_row_block_interleaving_is_legal(s in steps()) {
-        let (errors, accepted, completed) = run_mix(&s, RowPolicy::Close, Interleaving::Block);
+        let (errors, submitted, completed) = run_mix(&s, RowPolicy::Close, Interleaving::Block);
         prop_assert_eq!(errors, 0, "timing violations");
-        prop_assert_eq!(accepted, completed, "transactions lost");
+        prop_assert_eq!(submitted, completed, "transactions lost");
     }
 
     /// Energy counters match completions: one burst per transaction,
@@ -87,7 +90,6 @@ proptest! {
         let mut mc = MemoryController::new(cfg);
         let mut now = 0u64;
         let mut done = Vec::new();
-        let mut accepted = 0u64;
         for st in &s {
             let block = BlockAddr::from_index(st.block);
             let txn = if st.write {
@@ -95,16 +97,16 @@ proptest! {
             } else {
                 Transaction::read(block, TrafficClass::Demand, 0)
             };
-            if mc.try_enqueue(txn, now).is_ok() {
-                accepted += 1;
-            }
+            mc.submit(txn);
+            mc.drain(now);
             mc.tick(now, &mut done);
             now += 1;
         }
         for _ in 0..300_000 {
-            if done.len() as u64 == accepted {
+            if done.len() == s.len() {
                 break;
             }
+            mc.drain(now);
             mc.tick(now, &mut done);
             now += 1;
         }
@@ -125,12 +127,9 @@ proptest! {
         cfg.audit = true;
         let mut mc = MemoryController::new(cfg);
         let mut done = Vec::new();
-        mc.try_enqueue(
-            Transaction::read(BlockAddr::from_index(block), TrafficClass::Demand, 0),
-            0,
-        )
-        .unwrap();
+        mc.submit(Transaction::read(BlockAddr::from_index(block), TrafficClass::Demand, 0));
         for now in 0..500 {
+            mc.drain(now);
             mc.tick(now, &mut done);
         }
         prop_assert_eq!(done.len(), 1);

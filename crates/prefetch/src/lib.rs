@@ -8,8 +8,11 @@
 //!   ISCA 2006), the state-of-the-art spatial footprint prefetcher the
 //!   paper compares against, placed next to the LLC as in §V.A.
 //!
-//! Both observe the LLC demand stream through the common
-//! [`Prefetcher`] trait and emit candidate blocks to fetch.
+//! The system simulator holds each engine by its concrete type. It
+//! calls `on_demand_access` for every demand LLC lookup (hit or miss),
+//! which appends candidate blocks to fetch, tags those fetches with
+//! the engine's `traffic_class`, and tells SMS of every LLC eviction
+//! through [`SmsPrefetcher::on_eviction`].
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -19,53 +22,3 @@ mod stride;
 
 pub use sms::{SmsConfig, SmsPrefetcher, SmsStats};
 pub use stride::{StrideConfig, StridePrefetcher};
-
-use bump_types::{BlockAddr, MemoryRequest, TrafficClass};
-
-/// An LLC-side prefetch engine.
-///
-/// The system simulator calls [`on_demand_access`] for every demand LLC
-/// lookup (hit or miss) and [`on_eviction`] for every LLC eviction; the
-/// prefetcher returns candidate blocks which the system then fetches
-/// with the prefetcher's [`traffic_class`].
-///
-/// [`on_demand_access`]: Prefetcher::on_demand_access
-/// [`on_eviction`]: Prefetcher::on_eviction
-/// [`traffic_class`]: Prefetcher::traffic_class
-pub trait Prefetcher: std::fmt::Debug {
-    /// Observes a demand LLC access and returns blocks to prefetch.
-    fn on_demand_access(&mut self, req: &MemoryRequest, hit: bool, out: &mut Vec<BlockAddr>);
-
-    /// Observes an LLC eviction.
-    fn on_eviction(&mut self, _block: BlockAddr) {}
-
-    /// The traffic class this engine's fetches are tagged with.
-    fn traffic_class(&self) -> TrafficClass;
-}
-
-/// A prefetcher that never prefetches (for no-prefetch configurations).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullPrefetcher;
-
-impl Prefetcher for NullPrefetcher {
-    fn on_demand_access(&mut self, _req: &MemoryRequest, _hit: bool, _out: &mut Vec<BlockAddr>) {}
-
-    fn traffic_class(&self) -> TrafficClass {
-        TrafficClass::StridePrefetch
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use bump_types::{AccessKind, Pc};
-
-    #[test]
-    fn null_prefetcher_stays_silent() {
-        let mut p = NullPrefetcher;
-        let mut out = Vec::new();
-        let req = MemoryRequest::demand(BlockAddr::from_index(0), Pc::new(0), AccessKind::Load, 0);
-        p.on_demand_access(&req, false, &mut out);
-        assert!(out.is_empty());
-    }
-}

@@ -12,7 +12,6 @@
 //! traffic — store-triggered reads and writebacks are invisible to it,
 //! which is exactly the gap BuMP exploits.
 
-use crate::Prefetcher;
 use bump_types::{
     AccessKind, AssocTable, BlockAddr, MemoryRequest, PcOffset, RegionAddr, RegionConfig,
     TrafficClass,
@@ -121,10 +120,10 @@ impl SmsPrefetcher {
         }
         self.filter.remove(&region);
     }
-}
 
-impl Prefetcher for SmsPrefetcher {
-    fn on_demand_access(&mut self, req: &MemoryRequest, _hit: bool, out: &mut Vec<BlockAddr>) {
+    /// Observes a demand LLC access (hit or miss) and appends the
+    /// blocks to prefetch to `out`.
+    pub fn on_demand_access(&mut self, req: &MemoryRequest, _hit: bool, out: &mut Vec<BlockAddr>) {
         if req.kind != AccessKind::Load {
             return; // SMS ignores store-triggered traffic
         }
@@ -176,12 +175,15 @@ impl Prefetcher for SmsPrefetcher {
         }
     }
 
-    fn on_eviction(&mut self, block: BlockAddr) {
+    /// Observes an LLC eviction of `block`, which ends its region's
+    /// generation.
+    pub fn on_eviction(&mut self, block: BlockAddr) {
         let region = block.region(self.config.region);
         self.end_generation(region);
     }
 
-    fn traffic_class(&self) -> TrafficClass {
+    /// The traffic class SMS fetches are tagged with.
+    pub fn traffic_class(&self) -> TrafficClass {
         TrafficClass::SmsPrefetch
     }
 }

@@ -1,6 +1,5 @@
 //! The baseline stride prefetcher.
 
-use crate::Prefetcher;
 use bump_types::{AssocTable, BlockAddr, MemoryRequest, Pc, TrafficClass};
 
 /// Stride prefetcher configuration.
@@ -56,10 +55,10 @@ impl StridePrefetcher {
     pub fn paper() -> Self {
         StridePrefetcher::new(StrideConfig::default())
     }
-}
 
-impl Prefetcher for StridePrefetcher {
-    fn on_demand_access(&mut self, req: &MemoryRequest, _hit: bool, out: &mut Vec<BlockAddr>) {
+    /// Observes a demand LLC access (hit or miss) and appends the
+    /// blocks to prefetch to `out`.
+    pub fn on_demand_access(&mut self, req: &MemoryRequest, _hit: bool, out: &mut Vec<BlockAddr>) {
         let block = req.block;
         match self.table.touch(&req.pc) {
             Some(e) => {
@@ -94,7 +93,8 @@ impl Prefetcher for StridePrefetcher {
         }
     }
 
-    fn traffic_class(&self) -> TrafficClass {
+    /// The traffic class stride fetches are tagged with.
+    pub fn traffic_class(&self) -> TrafficClass {
         TrafficClass::StridePrefetch
     }
 }

@@ -15,7 +15,7 @@
 //! the same grid (`tests/daemon_e2e.rs`).
 //!
 //! Scheduler workers never touch a socket: every outbound frame is
-//! queued on the connection's [`Outbox`] and written by the event
+//! queued on the connection's `Outbox` and written by the event
 //! loop, so a slow or non-reading client stalls only its own
 //! connection's TCP stream — its cells still execute, land in the
 //! journal, and the pool stays available to every other client.

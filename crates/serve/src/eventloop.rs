@@ -19,14 +19,14 @@
 //!   bytes in the connection's write buffer and arms write interest
 //!   instead of blocking anyone).
 //! * **A runner pool** (`ServeConfig::runners` threads) executes the
-//!   parsed frames by calling the [`Service`] — `Daemon::run_job` /
+//!   parsed frames by calling the `Service` — `Daemon::run_job` /
 //!   `Router::route_job` block for a job's duration, which must never
 //!   happen on the loop thread. Frames of one connection are strictly
 //!   serialized (the next is dispatched only when the previous
 //!   returns), preserving the per-connection frame order the
 //!   byte-identity suites pin.
 //! * **Everything else** (scheduler workers, router dispatch streams)
-//!   reaches a connection only through its [`ConnSender`]: an ordered
+//!   reaches a connection only through its `ConnSender`: an ordered
 //!   outbox whose producer side never touches the socket — it queues
 //!   the line and wakes the loop through the [`netpoll::Waker`].
 //!

@@ -3,7 +3,7 @@
 use bump::BumpConfig;
 use bump_cache::LlcConfig;
 use bump_dram::DramConfig;
-use bump_types::{CacheGeometry, CoreParams, Cycle, RegionConfig};
+use bump_types::{CoreParams, Cycle, RegionConfig};
 use bump_workloads::Workload;
 
 /// The system design points of the paper's evaluation (§V.A, Figure 13).
@@ -204,18 +204,6 @@ impl SystemConfig {
         }
     }
 
-    /// A scaled-down configuration for fast tests: `cores` cores and a
-    /// 512KB LLC, everything else per the paper.
-    pub fn small(preset: Preset, workload: Workload, cores: usize) -> Self {
-        let mut cfg = Self::paper(preset, workload);
-        cfg.cores = cores;
-        cfg.llc = LlcConfig {
-            geometry: CacheGeometry::new(512 * 1024, 16),
-            ..cfg.llc
-        };
-        cfg
-    }
-
     /// The region geometry the memory controller interleaves on.
     pub fn region(&self) -> RegionConfig {
         self.bump.region
@@ -288,8 +276,10 @@ mod tests {
 
     #[test]
     fn small_config_shrinks_llc() {
-        let c = SystemConfig::small(Preset::BaseOpen, Workload::DataServing, 4);
+        let opts = crate::RunOptions::quick(4);
+        let c = crate::config_for(Preset::BaseOpen, Workload::DataServing, opts);
         assert_eq!(c.cores, 4);
         assert_eq!(c.llc.geometry.capacity_bytes, 512 * 1024);
+        assert_eq!(c.llc.geometry.ways, 16);
     }
 }

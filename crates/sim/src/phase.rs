@@ -111,7 +111,7 @@ pub struct PhaseSample {
     pub name: &'static str,
     /// Accumulated wall-clock self-time in nanoseconds (child phases
     /// subtracted), converted from raw ticks at
-    /// [`PhaseProfiler::profile`] time.
+    /// `PhaseProfiler::profile` time.
     pub nanos: u64,
     /// Times the phase was entered.
     pub calls: u64,

@@ -4,6 +4,7 @@
 use crate::config::{Engine, Preset, SystemConfig};
 use crate::report::SimReport;
 use crate::system::System;
+use bump_types::CacheGeometry;
 use bump_workloads::Workload;
 
 /// How long to warm and measure a run.
@@ -20,7 +21,7 @@ pub struct RunOptions {
     pub max_cycles: u64,
     /// Workload seed.
     pub seed: u64,
-    /// Use the small (512KB) LLC for faster warmup.
+    /// Use a 512KB, 16-way LLC for faster warmup.
     pub small_llc: bool,
     /// Simulation loop: the event-driven engine (default) or the
     /// cycle-accurate oracle. Both produce byte-identical reports (see
@@ -65,13 +66,11 @@ impl RunOptions {
 
 /// Builds the `SystemConfig` implied by `opts`.
 pub fn config_for(preset: Preset, workload: Workload, opts: RunOptions) -> SystemConfig {
-    let mut cfg = if opts.small_llc {
-        SystemConfig::small(preset, workload, opts.cores)
-    } else {
-        let mut c = SystemConfig::paper(preset, workload);
-        c.cores = opts.cores;
-        c
-    };
+    let mut cfg = SystemConfig::paper(preset, workload);
+    cfg.cores = opts.cores;
+    if opts.small_llc {
+        cfg.llc.geometry = CacheGeometry::new(512 * 1024, 16);
+    }
     cfg.seed = opts.seed;
     cfg.engine = opts.engine;
     cfg

@@ -19,7 +19,7 @@ use bump_cpu::{CoreWakeup, LeanCore, PendingAccess};
 use bump_dram::{MemoryController, Transaction};
 use bump_energy::{EnergyModel, SystemActivity};
 use bump_noc::{DeliveryQueue, MessageKind, Noc};
-use bump_prefetch::{Prefetcher, SmsPrefetcher, StridePrefetcher};
+use bump_prefetch::{SmsPrefetcher, StridePrefetcher};
 use bump_types::{AccessKind, BlockAddr, CoreId, Cycle, MemCycle, MemoryRequest, TrafficClass};
 use bump_vwq::VirtualWriteQueue;
 use bump_workloads::WorkloadGen;

@@ -1,13 +1,15 @@
 //! Unit-level tests of the `System` driver: stepping, backpressure,
 //! stat-reset semantics, and the virtualization mix.
 
-use bump_sim::{Preset, RunOptions, System, SystemConfig};
+use bump_sim::{config_for, Preset, RunOptions, System, SystemConfig};
 use bump_workloads::Workload;
 
 fn small(preset: Preset) -> SystemConfig {
-    let mut cfg = SystemConfig::small(preset, Workload::WebServing, 2);
-    cfg.seed = 3;
-    cfg
+    let opts = RunOptions {
+        seed: 3,
+        ..RunOptions::quick(2)
+    };
+    config_for(preset, Workload::WebServing, opts)
 }
 
 #[test]
@@ -45,7 +47,7 @@ fn max_cycles_bounds_runaway_runs() {
 
 #[test]
 fn workload_mix_runs_all_six_side_by_side() {
-    let mut cfg = SystemConfig::small(Preset::Bump, Workload::WebSearch, 6);
+    let mut cfg = config_for(Preset::Bump, Workload::WebSearch, RunOptions::quick(6));
     cfg.workload_mix = Some(Workload::all().to_vec());
     cfg.dram.audit = true;
     let mut sys = System::new(cfg);

@@ -31,28 +31,10 @@
 
 use bump_types::BlockAddr;
 
-/// Configuration of the eager writeback engine.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct VwqConfig {
-    /// How many adjacent blocks to probe per dirty eviction (paper: 3).
-    pub lookahead: u32,
-    /// Probe blocks after the evicted one (`true`) and/or before it.
-    /// The paper probes a short run of adjacent blocks; we default to
-    /// the forward direction, which matches streaming writebacks.
-    pub forward: bool,
-    /// Also probe the same count backwards.
-    pub backward: bool,
-}
-
-impl Default for VwqConfig {
-    fn default() -> Self {
-        VwqConfig {
-            lookahead: 3,
-            forward: true,
-            backward: false,
-        }
-    }
-}
+/// How many blocks after a dirty eviction the engine probes (paper
+/// §V.A: "three adjacent cache blocks"). The engine probes forward
+/// only, which matches streaming writebacks.
+pub const LOOKAHEAD: u32 = 3;
 
 /// VWQ statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -66,27 +48,16 @@ pub struct VwqStats {
 /// The eager-writeback policy engine.
 #[derive(Clone, Debug)]
 pub struct VirtualWriteQueue {
-    config: VwqConfig,
     stats: VwqStats,
 }
 
 impl VirtualWriteQueue {
-    /// Creates the engine.
-    pub fn new(config: VwqConfig) -> Self {
+    /// The paper's engine: probes the [`LOOKAHEAD`] blocks after each
+    /// dirty eviction.
+    pub fn paper() -> Self {
         VirtualWriteQueue {
-            config,
             stats: VwqStats::default(),
         }
-    }
-
-    /// The paper's configuration: three adjacent blocks, forward.
-    pub fn paper() -> Self {
-        VirtualWriteQueue::new(VwqConfig::default())
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> VwqConfig {
-        self.config
     }
 
     /// Statistics so far.
@@ -98,20 +69,10 @@ impl VirtualWriteQueue {
     /// adjacent blocks whose dirtiness the system should probe.
     pub fn on_dirty_eviction(&mut self, block: BlockAddr, out: &mut Vec<BlockAddr>) {
         self.stats.dirty_evictions_seen += 1;
-        if self.config.forward {
-            for k in 1..=self.config.lookahead {
-                out.push(block.offset_by(i64::from(k)));
-                self.stats.candidates_emitted += 1;
-            }
+        for k in 1..=LOOKAHEAD {
+            out.push(block.offset_by(i64::from(k)));
         }
-        if self.config.backward {
-            for k in 1..=self.config.lookahead {
-                if block.index() >= u64::from(k) {
-                    out.push(block.offset_by(-i64::from(k)));
-                    self.stats.candidates_emitted += 1;
-                }
-            }
-        }
+        self.stats.candidates_emitted += u64::from(LOOKAHEAD);
     }
 }
 
@@ -128,31 +89,5 @@ mod tests {
         assert_eq!(idx, vec![101, 102, 103]);
         assert_eq!(v.stats().dirty_evictions_seen, 1);
         assert_eq!(v.stats().candidates_emitted, 3);
-    }
-
-    #[test]
-    fn bidirectional_config_probes_both_sides() {
-        let mut v = VirtualWriteQueue::new(VwqConfig {
-            lookahead: 2,
-            forward: true,
-            backward: true,
-        });
-        let mut out = Vec::new();
-        v.on_dirty_eviction(BlockAddr::from_index(10), &mut out);
-        let idx: Vec<u64> = out.iter().map(|b| b.index()).collect();
-        assert_eq!(idx, vec![11, 12, 9, 8]);
-    }
-
-    #[test]
-    fn backward_probes_clamp_at_address_zero() {
-        let mut v = VirtualWriteQueue::new(VwqConfig {
-            lookahead: 3,
-            forward: false,
-            backward: true,
-        });
-        let mut out = Vec::new();
-        v.on_dirty_eviction(BlockAddr::from_index(1), &mut out);
-        let idx: Vec<u64> = out.iter().map(|b| b.index()).collect();
-        assert_eq!(idx, vec![0], "only one block exists below index 1");
     }
 }

@@ -7,7 +7,7 @@
 //! ```
 
 use bump::BumpConfig;
-use bump_sim::{run_experiment, run_experiment_with_config, Preset, RunOptions, SystemConfig};
+use bump_sim::{config_for, run_experiment, run_experiment_with_config, Preset, RunOptions};
 use bump_workloads::Workload;
 
 fn main() {
@@ -30,8 +30,7 @@ fn main() {
     );
     for bytes in [512u64, 1024, 2048] {
         for pct in [25u32, 50, 75, 100] {
-            let mut cfg = SystemConfig::small(Preset::Bump, workload, opts.cores);
-            cfg.seed = opts.seed;
+            let mut cfg = config_for(Preset::Bump, workload, opts);
             cfg.bump = BumpConfig::design_point(bytes, pct);
             let r = run_experiment_with_config(cfg, opts);
             println!(

@@ -2,7 +2,7 @@
 //! runs, conserves its accounting identities, and respects DRAM timing
 //! (checked by the independent auditor).
 
-use bump_sim::{run_experiment_with_config, Engine, Preset, RunOptions, SystemConfig};
+use bump_sim::{config_for, run_experiment_with_config, Engine, Preset, RunOptions};
 use bump_workloads::Workload;
 
 fn quick() -> RunOptions {
@@ -18,8 +18,7 @@ fn quick() -> RunOptions {
 }
 
 fn audited(preset: Preset, workload: Workload) -> bump_sim::SimReport {
-    let mut cfg = SystemConfig::small(preset, workload, quick().cores);
-    cfg.seed = quick().seed;
+    let mut cfg = config_for(preset, workload, quick());
     cfg.dram.audit = true;
     run_experiment_with_config(cfg, quick())
 }

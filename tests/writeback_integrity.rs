@@ -3,13 +3,15 @@
 //! write must be justified by a dirtying event, and eager cleans must
 //! match eager writebacks one-to-one.
 
-use bump_sim::{Preset, System, SystemConfig};
+use bump_sim::{config_for, Preset, RunOptions, System};
 use bump_workloads::Workload;
 
 fn run_system(preset: Preset, workload: Workload) -> bump_sim::SimReport {
-    let mut cfg = SystemConfig::small(preset, workload, 2);
-    cfg.seed = 11;
-    let mut sys = System::new(cfg);
+    let opts = RunOptions {
+        seed: 11,
+        ..RunOptions::quick(2)
+    };
+    let mut sys = System::new(config_for(preset, workload, opts));
     // No stat reset: measure from cold so write accounting is complete.
     sys.run(150_000, 10_000_000);
     sys.report()
