@@ -22,8 +22,12 @@
 //! of the arbitration above depends only on a bank's state and whether
 //! it has a pending hit, so one pass over the occupied banks
 //! ([`Channel::scan`]) yields both the banks each gate admits and the
-//! earliest cycle any gate could open; only the admitted banks' lists
-//! are walked, to pick the transaction a command serves.
+//! earliest cycle any other gate could open; only the admitted banks'
+//! lists are walked, to pick the transaction a command serves.
+//!
+//! The event engine's tick keeps that earliest cycle as a memo, an
+//! exact lower bound on the next gate to open, and every mutation
+//! lowers it instead of discarding it; see [`Channel::tick_event`].
 
 use crate::audit::TimingAuditor;
 use crate::bank::{Bank, CommandKind, RankTimer};
@@ -31,6 +35,8 @@ use crate::energy::DramEnergyCounters;
 use crate::mapping::DramCoord;
 use crate::transaction::{Completion, Transaction, TransactionId};
 use bump_types::{DramGeometry, DramTiming, MemCycle};
+use std::cell::Cell;
+use std::fmt;
 
 /// Write-queue capacity and drain watermarks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -322,11 +328,39 @@ struct Scan {
     /// The banks each gate admits at the scanned cycle, indexed by
     /// [`COLUMN`], [`ACTIVATE`] and [`PRECHARGE`].
     gates: [u64; 3],
-    /// The earliest cycle a transaction completes, a refresh falls due
-    /// or finishes, or an occupied bank's gate opens — the timed part of
-    /// [`Channel::next_event_at`]. It does not depend on the scanned
-    /// cycle.
+    /// The earliest cycle a refresh falls due or finishes, or an
+    /// occupied bank the scan did not admit could pass its gate: the
+    /// gate part of [`Channel::next_event_at`] (in-flight bursts are
+    /// tracked apart, by `next_data_end`). It depends on the scanned
+    /// cycle only through the banks admitted; when the scan admitted
+    /// nothing it bounds every occupied bank.
     horizon: MemCycle,
+}
+
+/// An exact count of host work, bumped through `&self` (a horizon
+/// query scans without mutating the channel).
+///
+/// Its `Debug` prints no value: work is host effort, not simulated
+/// state. A controller that ticked through a null window and one that
+/// skipped it end in the same state after different work, and the
+/// equivalence tests compare `Debug` renderings of that state.
+#[derive(Default)]
+pub(crate) struct Tally(Cell<u64>);
+
+impl Tally {
+    pub(crate) fn bump(&self) {
+        self.0.set(self.0.get() + 1);
+    }
+
+    pub(crate) fn get(&self) -> u64 {
+        self.0.get()
+    }
+}
+
+impl fmt::Debug for Tally {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("_")
+    }
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -369,9 +403,11 @@ pub struct Channel {
     last_burst_was_write: bool,
     energy: DramEnergyCounters,
     auditor: Option<TimingAuditor>,
-    /// Memoized event horizon for [`Channel::tick_event`]: every tick at
-    /// a cycle strictly below it is a provable no-op (only background
-    /// energy accounting). `None` means "unknown — take the full tick".
+    /// The gate memo of [`Channel::tick_event`]: an exact lower bound
+    /// on the cycle a refresh event or a bank's gate could next act
+    /// (`now` while the drain mode would flip). Below it a tick can only
+    /// retire bursts, which `next_data_end` tracks live. `None` means
+    /// "unknown — take the full tick"; [`Channel::tick`] leaves it so.
     horizon: Option<MemCycle>,
     /// Whether a column issued since the controller last drained its
     /// backlog into this channel (the drain clears it). Columns are the
@@ -383,6 +419,12 @@ pub struct Channel {
     /// bursts this gives the telemetry sampler a per-channel
     /// bandwidth/row-locality gauge without walking completions.
     row_hits_issued: u64,
+    /// Ticks that ran the full step (every [`Channel::tick`], and each
+    /// [`Channel::tick_event`] at or past the gate memo).
+    pub(crate) full_ticks: Tally,
+    /// Passes of `Channel::scan`: one per full tick that reaches the
+    /// arbiter, one per horizon query the memo cannot answer.
+    pub(crate) scans: Tally,
 }
 
 impl Channel {
@@ -440,6 +482,8 @@ impl Channel {
             horizon: None,
             column_since_drain: false,
             row_hits_issued: 0,
+            full_ticks: Tally::default(),
+            scans: Tally::default(),
         }
     }
 
@@ -485,9 +529,10 @@ impl Channel {
 
     /// Promotes a queued speculative read of `block`, which maps to
     /// `coord`, to demand priority (a demand access merged into its
-    /// MSHR). Returns whether a queued transaction was found.
+    /// MSHR). Returns whether a queued transaction was found. Priority
+    /// only orders the pick within a gate and moves no gate's
+    /// threshold, so the gate memo stands.
     pub fn promote_to_demand(&mut self, block: bump_types::BlockAddr, coord: DramCoord) -> bool {
-        self.horizon = None;
         let bank = self.bank_index(coord);
         let queue = &mut self.read_queue;
         match queue.find(bank, |q| {
@@ -508,6 +553,12 @@ impl Channel {
     /// A write to a block with a queued write coalesces into the older
     /// entry; a read that hits a queued write is served by forwarding at
     /// the next tick without touching DRAM.
+    ///
+    /// The gate memo stays an exact lower bound: a coalesced write moves
+    /// no gate, and a forwarded read's burst lowers `next_data_end`,
+    /// which the memo leaves live. A queued entry lowers the memo to
+    /// `now` if the drain mode would flip, else to its bank's gate when
+    /// it joined the active queue (see [`Channel::tick_event`]).
     pub fn enqueue(
         &mut self,
         id: TransactionId,
@@ -515,7 +566,6 @@ impl Channel {
         coord: DramCoord,
         now: MemCycle,
     ) -> bool {
-        self.horizon = None;
         let bank = self.bank_index(coord);
         let queued_write = self.write_queue.find(bank, |q| q.txn.block == txn.block);
         if txn.is_write {
@@ -562,40 +612,51 @@ impl Channel {
             },
             hit,
         );
+        if let Some(memo) = self.horizon {
+            let at = if self.drain_mode_would_flip() {
+                now
+            } else if txn.is_write == self.write_drain {
+                self.gate_at(bank)
+            } else {
+                MemCycle::MAX // the inactive queue gates nothing
+            };
+            self.horizon = Some(memo.min(at));
+        }
         true
     }
 
     /// Advances the channel by one memory cycle, appending finished
-    /// transactions to `completions`.
+    /// transactions to `completions`. The oracle of
+    /// [`Channel::tick_event`]: it always takes the full step and
+    /// leaves no gate memo behind, so the two may be mixed.
     pub fn tick(&mut self, now: MemCycle, completions: &mut Vec<Completion>) {
+        self.horizon = None;
         self.step(now, completions);
     }
 
-    /// Event-driven tick: identical semantics to [`Channel::tick`], but
-    /// ticks strictly below the memoized [`Channel::next_event_at`]
-    /// horizon take a fast path that only performs the per-cycle
-    /// background-energy accounting (provably the full tick's only
-    /// effect there). Every full tick memoizes a new horizon and
-    /// [`Channel::enqueue`] / [`Channel::promote_to_demand`] invalidate
-    /// it.
+    /// Event-driven tick: identical semantics to [`Channel::tick`].
+    /// A tick strictly below the gate memo retires the bursts due by
+    /// `now` and accounts background energy, and does no more: the
+    /// memo bounds every refresh event and every bank's gate, and
+    /// neither moves while no command issues and nothing is enqueued.
+    /// Every other tick takes the full step and memoizes the horizon
+    /// its scan found (see `Channel::settle`). Between full ticks,
+    /// [`Channel::enqueue`] lowers the memo and
+    /// [`Channel::promote_to_demand`] keeps it.
     pub fn tick_event(&mut self, now: MemCycle, completions: &mut Vec<Completion>) {
-        if let Some(h) = self.horizon {
-            if now < h {
+        match self.horizon {
+            Some(memo) if now < memo => {
+                self.retire_in_flight(now, completions);
                 self.account_background();
-                return;
             }
+            _ => self.horizon = Some(self.step(now, completions)),
         }
-        self.horizon = Some(self.step(now, completions));
     }
 
-    /// The body of [`Channel::tick`]; returns the horizon of the next
-    /// tick that could act. After a tick that issued a command or
-    /// retired a transaction the channel is hot, so that is simply
-    /// `now + 1` (the next full tick re-evaluates anyway); after a quiet
-    /// tick it is [`Channel::next_event_at`]`(now + 1)`, taken from the
-    /// same scan that found nothing to issue.
+    /// The body of [`Channel::tick`]; returns the gate memo for the
+    /// next tick (see `Channel::settle`).
     fn step(&mut self, now: MemCycle, completions: &mut Vec<Completion>) -> MemCycle {
-        let retired_before = completions.len();
+        self.full_ticks.bump();
         self.retire_in_flight(now, completions);
         self.account_background();
         self.update_drain_mode();
@@ -603,14 +664,30 @@ impl Channel {
             return now + 1; // the command slot was spent on refresh management
         }
         let scan = self.scan(now);
-        match self.pick(scan.gates) {
-            Some(cmd) => {
-                self.issue(cmd, now);
-                now + 1
+        let cmd = self.pick(scan.gates);
+        self.settle(now, scan, cmd)
+    }
+
+    /// Issues `cmd`, the arbiter's pick from `scan`, and returns an
+    /// exact lower bound on the next cycle a refresh event or a gate
+    /// could act. With no command that is the scan's own horizon: it
+    /// admitted nothing, so it bounded every bank. After a command
+    /// that was the only bank the scan admitted, it is the scan's bound
+    /// over the other banks and the refresh events (a command moves
+    /// rank timers only later, and the bus only past `now`) lowered to
+    /// the issued bank's new gate. With another bank admitted it is
+    /// `now + 1`. A pending drain-mode flip pins it to `now + 1` in
+    /// every case.
+    fn settle(&mut self, now: MemCycle, scan: Scan, cmd: Option<Command>) -> MemCycle {
+        let mut horizon = scan.horizon;
+        if let Some(cmd) = cmd {
+            let bank = self.issue(cmd, now);
+            if scan.gates.iter().fold(0, |m, g| m | g) != 1 << bank {
+                return now + 1;
             }
-            None if completions.len() != retired_before => now + 1,
-            None => self.quiet_horizon(scan.horizon, now + 1),
+            horizon = horizon.min(self.gate_at(bank));
         }
+        self.quiet_horizon(horizon, now + 1)
     }
 
     /// The earliest memory cycle `T >= now` at which ticking this
@@ -631,11 +708,15 @@ impl Channel {
     /// for a command on that bank, an event in its own right); an open
     /// bank without one can precharge; a closed bank can activate.
     pub fn next_event_at(&self, now: MemCycle) -> MemCycle {
-        self.quiet_horizon(self.scan(now).horizon, now)
+        let scan = self.scan(now);
+        if scan.gates != [0; 3] {
+            return now;
+        }
+        self.quiet_horizon(scan.horizon.min(self.next_data_end), now)
     }
 
-    /// [`Channel::next_event_at`]`(now)` given the scan's timed horizon:
-    /// a pending drain-mode flip mutates state on the very next tick.
+    /// The horizon `horizon` at `now`: a pending drain-mode flip
+    /// mutates state on the very next tick.
     fn quiet_horizon(&self, horizon: MemCycle, now: MemCycle) -> MemCycle {
         if self.drain_mode_would_flip() {
             now
@@ -644,13 +725,14 @@ impl Channel {
         }
     }
 
-    /// [`Channel::next_event_at`], but served from the horizon memoized
-    /// by [`Channel::tick_event`] when it is still valid (the channel
-    /// state is frozen between full ticks, and every mutation —
-    /// enqueue, promotion — invalidates the memo).
+    /// [`Channel::next_event_at`], answered without a scan from the
+    /// gate memo of [`Channel::tick_event`] and the live
+    /// `next_data_end` whenever there is a memo. The memo is an exact
+    /// lower bound through every mutation, so the answer is too; it is
+    /// exact after a quiet full tick.
     pub fn next_event_cached(&self, now: MemCycle) -> MemCycle {
         match self.horizon {
-            Some(h) => h,
+            Some(memo) => memo.min(self.next_data_end).max(now),
             None => self.next_event_at(now),
         }
     }
@@ -830,29 +912,24 @@ impl Channel {
     /// rank. Each rank's gates (refresh, tRRD/tFAW, tWTR and the data
     /// bus) are computed once; each bank then takes the threshold of the
     /// one gate its state allows — column (a pending hit), ACT
-    /// (precharged) or PRE (open without a pending hit) — folds it into
-    /// the horizon, and joins that gate's mask if the threshold has
-    /// passed and refresh does not block the gate. No branch depends on
-    /// a bank's state.
+    /// (precharged) or PRE (open without a pending hit) — and joins
+    /// that gate's mask if the threshold has passed and refresh does
+    /// not block the gate, or else folds the threshold into the
+    /// horizon. No branch depends on a bank's state.
     fn scan(&self, now: MemCycle) -> Scan {
-        let is_write = self.write_drain;
+        self.scans.bump();
         let queue = self.active_queue();
-        let bus_ready = self.data_bus_ready_at(is_write);
+        let bus_ready = self.data_bus_ready_at(self.write_drain);
         let banks_per_rank = self.geom.banks_per_rank as usize;
         let mut gates = [0u64; 3];
-        let mut horizon = self.next_data_end;
+        let mut horizon = MemCycle::MAX;
         for (r, rank) in self.ranks.iter().enumerate() {
             horizon = horizon.min(rank.refresh_until().unwrap_or(rank.refresh_due()));
             let occupied = queue.occupied & (self.rank_banks << (r * banks_per_rank));
             if occupied == 0 {
                 continue;
             }
-            let col_at = if is_write {
-                bus_ready
-            } else {
-                bus_ready.max(rank.earliest_read_column())
-            };
-            let act_at = rank.earliest_activate();
+            let floors = self.rank_floors(rank, bus_ready);
             let refreshing = rank.refreshing(now);
             let blocked = |b: bool| if b { MemCycle::MAX } else { 0 };
             let block = [
@@ -861,21 +938,39 @@ impl Channel {
                 0,
             ];
             for b in banks_in(occupied) {
-                let bank = &self.banks[b];
-                // COLUMN with a pending hit (its row is open), else
-                // ACTIVATE if precharged, else PRECHARGE.
-                let gate =
-                    usize::from(queue.hits[b] == 0) << usize::from(bank.open_row().is_some());
-                let at = [
-                    bank.earliest_column().max(col_at),
-                    bank.earliest_activate().max(act_at),
-                    bank.earliest_precharge(),
-                ][gate];
-                horizon = horizon.min(at);
-                gates[gate] |= u64::from(at.max(block[gate]) <= now) << b;
+                let (gate, at) = bank_gate(queue, &self.banks[b], b, floors);
+                let admit = at.max(block[gate]) <= now;
+                gates[gate] |= u64::from(admit) << b;
+                horizon = horizon.min(if admit { MemCycle::MAX } else { at });
             }
         }
         Scan { gates, horizon }
+    }
+
+    /// The rank-wide floor of each gate's threshold on `rank`, indexed
+    /// like `Scan::gates`, given the data bus's `bus_ready` for the
+    /// active direction: the bus and tWTR for columns, tRRD/tFAW for
+    /// ACTs, nothing for PREs.
+    fn rank_floors(&self, rank: &RankTimer, bus_ready: MemCycle) -> [MemCycle; 3] {
+        let column = if self.write_drain {
+            bus_ready
+        } else {
+            bus_ready.max(rank.earliest_read_column())
+        };
+        [column, rank.earliest_activate(), 0]
+    }
+
+    /// The threshold of bank `b`'s gate in the active queue, as
+    /// `Channel::scan` computes it; `MAX` when the queue holds nothing
+    /// for `b`.
+    fn gate_at(&self, b: usize) -> MemCycle {
+        let queue = self.active_queue();
+        if queue.occupied & 1 << b == 0 {
+            return MemCycle::MAX;
+        }
+        let rank = &self.ranks[b / self.geom.banks_per_rank as usize];
+        let floors = self.rank_floors(rank, self.data_bus_ready_at(self.write_drain));
+        bank_gate(queue, &self.banks[b], b, floors).1
     }
 
     /// FR-FCFS arbitration over the gates a [`Channel::scan`] found: the
@@ -900,7 +995,8 @@ impl Channel {
         }
     }
 
-    fn issue(&mut self, cmd: Command, now: MemCycle) {
+    /// Issues `cmd`; returns the bank it went to.
+    fn issue(&mut self, cmd: Command, now: MemCycle) -> usize {
         match cmd {
             Command::Column(slot) => self.issue_column(slot, now),
             Command::Activate(slot) => self.issue_activate(slot, now),
@@ -940,7 +1036,7 @@ impl Channel {
         free_at.saturating_sub(data_latency)
     }
 
-    fn issue_column(&mut self, slot: u32, now: MemCycle) {
+    fn issue_column(&mut self, slot: u32, now: MemCycle) -> usize {
         self.column_since_drain = true;
         let is_write = self.write_drain;
         let q = self.active_queue_mut().remove_hit(slot);
@@ -993,9 +1089,10 @@ impl Channel {
             row_hit: !q.caused_activation,
             row_conflict: q.caused_conflict,
         });
+        bank_idx
     }
 
-    fn issue_activate(&mut self, slot: u32, now: MemCycle) {
+    fn issue_activate(&mut self, slot: u32, now: MemCycle) -> usize {
         let (coord, bank_idx) = {
             let q = self.active_queue().entry(slot);
             (q.coord, q.bank)
@@ -1019,16 +1116,32 @@ impl Channel {
         // The transaction that triggered the ACT pays the row miss; every
         // other queued transaction to the same row will be a hit.
         self.active_queue_mut().entry_mut(slot).caused_activation = true;
+        bank_idx
     }
 
-    fn issue_conflict_precharge(&mut self, slot: u32, now: MemCycle) {
+    fn issue_conflict_precharge(&mut self, slot: u32, now: MemCycle) -> usize {
         let (rank, bank_idx) = {
             let q = self.active_queue().entry(slot);
             (q.coord.rank as usize, q.bank)
         };
         self.issue_precharge(rank, bank_idx, now);
         self.active_queue_mut().entry_mut(slot).caused_conflict = true;
+        bank_idx
     }
+}
+
+/// Bank `b`'s gate in `queue` — COLUMN with a pending hit (its row is
+/// open), else ACTIVATE if precharged, else PRECHARGE — and the cycle
+/// that gate opens, given its rank's `floors` (see
+/// `Channel::rank_floors`). No branch depends on the bank's state.
+fn bank_gate(queue: &TxnQueue, bank: &Bank, b: usize, floors: [MemCycle; 3]) -> (usize, MemCycle) {
+    let gate = usize::from(queue.hits[b] == 0) << usize::from(bank.open_row().is_some());
+    let at = [
+        bank.earliest_column(),
+        bank.earliest_activate(),
+        bank.earliest_precharge(),
+    ][gate];
+    (gate, at.max(floors[gate]))
 }
 
 #[cfg(test)]

@@ -10,6 +10,11 @@
 //! choose and, on a tick that issues nothing, the horizon that scan
 //! memoizes, against the queue scans below; then it rebuilds every
 //! bank's list and counters from the sorted slab and compares.
+//!
+//! The test ticks the way [`Channel::tick_event`] does, so the gate
+//! memo lives through arrivals, promotions and ticks: below it the
+//! channel's own fast path runs, and after every arrival, promotion
+//! and tick the memo must not be later than the reference horizon.
 
 use super::*;
 use crate::mapping::AddressMapper;
@@ -173,15 +178,13 @@ fn earliest_possible_issue(ch: &Channel, q: &Queued, is_write: bool) -> MemCycle
     }
 }
 
-/// [`Channel::next_event_at`] by one scan per queued transaction.
-fn next_event_at(ch: &Channel, now: MemCycle) -> MemCycle {
+/// The gate part of [`next_event_at`]: every event but an in-flight
+/// burst's end, which the channel's gate memo leaves out.
+fn gate_horizon(ch: &Channel, now: MemCycle) -> MemCycle {
     if ch.drain_mode_would_flip() {
         return now;
     }
     let mut t = MemCycle::MAX;
-    for f in &ch.in_flight {
-        t = t.min(f.data_end);
-    }
     for r in &ch.ranks {
         t = t.min(r.refresh_until().unwrap_or(r.refresh_due()));
     }
@@ -189,6 +192,24 @@ fn next_event_at(ch: &Channel, now: MemCycle) -> MemCycle {
         t = t.min(earliest_possible_issue(ch, q, ch.write_drain));
     }
     t.max(now)
+}
+
+/// [`Channel::next_event_at`] by one scan per queued transaction.
+fn next_event_at(ch: &Channel, now: MemCycle) -> MemCycle {
+    let bursts = ch.in_flight.iter().map(|f| f.data_end).min();
+    gate_horizon(ch, now).min(bursts.unwrap_or(MemCycle::MAX).max(now))
+}
+
+/// Asserts that the gate memo is no later than the reference gate
+/// horizon at `now`, the next cycle the channel ticks.
+fn assert_memo_bounds(ch: &Channel, now: MemCycle, after: &str) {
+    if let Some(memo) = ch.horizon {
+        let want = gate_horizon(ch, now);
+        assert!(
+            memo <= want,
+            "memo {memo} after {after} at cycle {now}, reference {want}"
+        );
+    }
 }
 
 /// Rebuilds both queues' per-bank lists and counters from the
@@ -250,6 +271,10 @@ struct Coverage {
     promoted: u64,
     rejected: u64,
     quiet_ticks: u64,
+    /// Commands after which the memo lay past `now + 1`.
+    post_command_bounds: u64,
+    /// Ticks below the memo that retired a burst without a scan.
+    memo_retires: u64,
 }
 
 struct Rng(u64);
@@ -330,60 +355,91 @@ fn run_against_reference(
             } else {
                 cov.rejected += 1;
             }
+            assert_memo_bounds(&ch, now, "an arrival");
         }
         if rng.below(16) == 0 {
             let b = block(&mut rng);
             cov.promoted += u64::from(ch.promote_to_demand(b, mapper.decode(b)));
+            assert_memo_bounds(&ch, now, "a promotion");
         }
         assert_eq!(
             ch.next_event_at(now),
             next_event_at(&ch, now),
             "next_event_at at cycle {now}"
         );
-        // The body of `Channel::step`, with the arbiter's choice checked
-        // before it issues and the quiet horizon after.
-        let drain = ch.write_drain;
-        let refreshes = ch.energy.refreshes;
-        ch.retire_in_flight(now, &mut done);
-        ch.account_background();
-        ch.update_drain_mode();
-        cov.drain_flips += u64::from(ch.write_drain != drain);
-        if !ch.service_refresh(now) {
-            let scan = ch.scan(now);
-            let want = pick(&ch, now);
-            assert_eq!(ch.pick(scan.gates), want, "command at cycle {now}");
-            if let Some(cmd) = want {
-                let (slot, closes) = match cmd {
-                    Command::Column(slot) => {
-                        cov.columns += 1;
-                        (slot, column_auto_precharges(&ch, slot))
-                    }
-                    Command::Activate(slot) => {
-                        cov.activates += 1;
-                        (slot, false)
-                    }
-                    Command::Precharge(slot) => {
-                        cov.conflict_precharges += 1;
-                        (slot, true)
-                    }
-                };
-                let bank = ch.active_queue().entry(slot).bank;
-                ch.issue(cmd, now);
-                assert_eq!(
-                    ch.banks[bank].open_row().is_none(),
-                    closes,
-                    "{cmd:?} left bank {bank} in the wrong state at cycle {now}"
-                );
+        assert!(
+            ch.next_event_cached(now) <= next_event_at(&ch, now),
+            "cached horizon later than the reference at cycle {now}"
+        );
+        if ch.horizon.is_some_and(|memo| now < memo) {
+            // `Channel::tick_event`'s fast path: it may retire bursts
+            // but must not scan.
+            let (scans, retired) = (ch.scans.get(), done.len());
+            ch.tick_event(now, &mut done);
+            assert_eq!(ch.scans.get(), scans, "scan below the memo at {now}");
+            cov.memo_retires += u64::from(done.len() > retired);
+        } else {
+            // `Channel::tick_event`'s full step, with the arbiter's
+            // choice checked before it issues and the memo after.
+            let drain = ch.write_drain;
+            let refreshes = ch.energy.refreshes;
+            ch.retire_in_flight(now, &mut done);
+            ch.account_background();
+            ch.update_drain_mode();
+            cov.drain_flips += u64::from(ch.write_drain != drain);
+            let memo = if ch.service_refresh(now) {
+                now + 1
             } else {
-                cov.quiet_ticks += 1;
-                assert_eq!(
-                    ch.quiet_horizon(scan.horizon, now + 1),
-                    next_event_at(&ch, now + 1),
-                    "quiet horizon at cycle {now}"
-                );
-            }
+                let scan = ch.scan(now);
+                let want = pick(&ch, now);
+                assert_eq!(ch.pick(scan.gates), want, "command at cycle {now}");
+                match want {
+                    None => {
+                        cov.quiet_ticks += 1;
+                        let memo = ch.settle(now, scan, None);
+                        assert_eq!(
+                            memo,
+                            gate_horizon(&ch, now + 1),
+                            "quiet gate memo at cycle {now}"
+                        );
+                        assert_eq!(
+                            memo.min(ch.next_data_end).max(now + 1),
+                            next_event_at(&ch, now + 1),
+                            "quiet horizon at cycle {now}"
+                        );
+                        memo
+                    }
+                    Some(cmd) => {
+                        let (slot, closes) = match cmd {
+                            Command::Column(slot) => {
+                                cov.columns += 1;
+                                (slot, column_auto_precharges(&ch, slot))
+                            }
+                            Command::Activate(slot) => {
+                                cov.activates += 1;
+                                (slot, false)
+                            }
+                            Command::Precharge(slot) => {
+                                cov.conflict_precharges += 1;
+                                (slot, true)
+                            }
+                        };
+                        let bank = ch.active_queue().entry(slot).bank;
+                        let memo = ch.settle(now, scan, Some(cmd));
+                        assert_eq!(
+                            ch.banks[bank].open_row().is_none(),
+                            closes,
+                            "{cmd:?} left bank {bank} in the wrong state at cycle {now}"
+                        );
+                        cov.post_command_bounds += u64::from(memo > now + 1);
+                        memo
+                    }
+                }
+            };
+            ch.horizon = Some(memo);
+            cov.refreshes += ch.energy.refreshes - refreshes;
         }
-        cov.refreshes += ch.energy.refreshes - refreshes;
+        assert_memo_bounds(&ch, now + 1, "a tick");
         assert_index_matches_queues(&ch, now);
     }
     let errors = ch.auditor().expect("audited").errors();
@@ -413,6 +469,11 @@ fn indexed_scheduler_matches_scan_reference_under_random_traffic() {
         ("promotions", cov.promoted),
         ("full-queue rejections", cov.rejected),
         ("ticks that issue nothing", cov.quiet_ticks),
+        (
+            "post-command memos past the next cycle",
+            cov.post_command_bounds,
+        ),
+        ("retirements below the memo", cov.memo_retires),
     ] {
         assert!(n > 0, "random traffic never exercised {what}");
     }

@@ -2,7 +2,7 @@
 //! submitted transactions into the channels' queues, channel fan-out,
 //! and system-wide DRAM statistics.
 
-use crate::channel::{Channel, RowPolicy, WriteQueueConfig};
+use crate::channel::{Channel, RowPolicy, Tally, WriteQueueConfig};
 use crate::energy::DramEnergyCounters;
 use crate::mapping::{AddressMapper, DramCoord};
 use crate::transaction::{Completion, Transaction, TransactionId};
@@ -122,11 +122,31 @@ impl DramStats {
     }
 }
 
+/// Exact counts of the host work the controller's scheduler did since
+/// it was built ([`MemoryController::reset_stats`] leaves them alone).
+/// They repeat bit for bit on a seeded run, so a test can pin them.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DramWork {
+    /// Channel ticks that took the full step: every
+    /// [`MemoryController::tick`], and each
+    /// [`MemoryController::tick_event`] at or past the channel's
+    /// memoized horizon.
+    pub full_ticks: u64,
+    /// One-pass bank scans: one per full tick that reaches the
+    /// FR-FCFS arbiter, one per horizon query no memo answered.
+    pub scans: u64,
+    /// Event drains that refused both reads and writes and so stopped
+    /// walking a channel's backlog with transactions left unvisited.
+    pub drain_cutoffs: u64,
+}
+
 /// The submitted transactions waiting for room in one channel's
 /// queues, in submission order, each with its decoded coordinate.
 #[derive(Debug, Default)]
 struct Backlog {
     txns: VecDeque<(Transaction, DramCoord)>,
+    /// How many of `txns` are reads (0) and writes (1).
+    pending: [usize; 2],
     /// Whether every transaction in `txns` was refused at the last
     /// drain (set by the drain, cleared by every submit). While it
     /// holds, a retry can only succeed after the channel issues a
@@ -144,6 +164,7 @@ pub struct MemoryController {
     backlogs: Vec<Backlog>,
     next_id: u64,
     stats: DramStats,
+    drain_cutoffs: Tally,
 }
 
 impl MemoryController {
@@ -173,6 +194,7 @@ impl MemoryController {
                 .collect(),
             next_id: 0,
             stats: DramStats::default(),
+            drain_cutoffs: Tally::default(),
         }
     }
 
@@ -192,6 +214,7 @@ impl MemoryController {
         let coord = self.mapper.decode(txn.block);
         let backlog = &mut self.backlogs[coord.channel as usize];
         backlog.txns.push_back((txn, coord));
+        backlog.pending[usize::from(txn.is_write)] += 1;
         backlog.refused = false;
     }
 
@@ -207,6 +230,8 @@ impl MemoryController {
     /// and that has issued no column since, and within a channel it
     /// stops offering reads (or writes) at their first refusal: room
     /// depends only on that queue's length, which a drain can only grow.
+    /// Once neither direction can admit more, the rest of the backlog
+    /// stays unvisited.
     pub fn drain_event(&mut self, now: MemCycle) {
         self.drain_backlogs(now, true);
     }
@@ -221,17 +246,30 @@ impl MemoryController {
             if event && backlog.refused && !column {
                 continue;
             }
-            // Whether reads (0) and writes (1) stopped at a refusal.
+            // Per direction, reads (0) and writes (1): the transactions
+            // not yet visited, and whether it stopped at a refusal.
+            let mut left = backlog.pending;
             let mut full = [false; 2];
-            backlog.txns.retain(|&(txn, coord)| {
+            // Refused transactions move to the front, in order; the
+            // admitted ones collect in `kept..i` and are dropped below.
+            let (mut kept, mut i) = (0, 0);
+            while (left[0] > 0 && !full[0]) || (left[1] > 0 && !full[1]) {
+                let (txn, coord) = backlog.txns[i];
                 let dir = usize::from(txn.is_write);
-                if full[dir] {
-                    return true;
+                left[dir] -= 1;
+                if full[dir] || !admit(ch, next_id, txn, coord, now) {
+                    full[dir] = event;
+                    backlog.txns.swap(kept, i);
+                    kept += 1;
+                } else {
+                    backlog.pending[dir] -= 1;
                 }
-                let refused = !admit(ch, next_id, txn, coord, now);
-                full[dir] = refused && event;
-                refused
-            });
+                i += 1;
+            }
+            if full == [true; 2] && i < backlog.txns.len() {
+                self.drain_cutoffs.bump();
+            }
+            backlog.txns.drain(kept..i);
             backlog.refused = true;
         }
     }
@@ -280,10 +318,11 @@ impl MemoryController {
         }
     }
 
-    /// Event-driven variant of [`MemoryController::tick`]: channels
-    /// whose memoized horizon proves the cycle is a no-op only account
-    /// background energy. Semantically identical to `tick` — the
-    /// equivalence suite holds both paths to byte-identical reports.
+    /// Event-driven variant of [`MemoryController::tick`]: a channel
+    /// below its memoized horizon only retires the bursts due and
+    /// accounts background energy (see [`Channel::tick_event`]).
+    /// Semantically identical to `tick` — the equivalence suite holds
+    /// both paths to byte-identical reports.
     pub fn tick_event(&mut self, now: MemCycle, completions: &mut Vec<Completion>) {
         let start = completions.len();
         for ch in &mut self.channels {
@@ -313,6 +352,19 @@ impl MemoryController {
         for ch in &mut self.channels {
             ch.skip_idle_cycles(cycles);
         }
+    }
+
+    /// The scheduler's exact work counts so far.
+    pub fn work(&self) -> DramWork {
+        let mut work = DramWork {
+            drain_cutoffs: self.drain_cutoffs.get(),
+            ..DramWork::default()
+        };
+        for ch in &self.channels {
+            work.full_ticks += ch.full_ticks.get();
+            work.scans += ch.scans.get();
+        }
+        work
     }
 
     /// Number of channels.

@@ -42,7 +42,7 @@ mod transaction;
 pub use audit::{AuditError, CommandRecord, TimingAuditor};
 pub use bank::{Bank, BankState, CommandKind};
 pub use channel::{Channel, RowPolicy, WriteQueueConfig};
-pub use controller::{DramConfig, DramStats, MemoryController};
+pub use controller::{DramConfig, DramStats, DramWork, MemoryController};
 pub use energy::{DramEnergyBreakdown, DramEnergyCounters, DramEnergyParams};
 pub use mapping::{AddressMapper, DramCoord};
 pub use transaction::{Completion, Transaction, TransactionId};

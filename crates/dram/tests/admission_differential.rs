@@ -10,7 +10,9 @@
 //! says a drain could admit something, with
 //! [`MemoryController::drain_event`], and ticks with
 //! [`MemoryController::tick_event`]. Completions, statistics and
-//! energy counters must match after every cycle.
+//! energy counters must match after every cycle, including across the
+//! event drains that stop walking a backlog once no direction can
+//! admit more.
 
 use bump_dram::{Completion, DramConfig, MemoryController, Transaction};
 use bump_types::{BlockAddr, MemCycle, MemSpec, TrafficClass};
@@ -20,7 +22,8 @@ const CYCLES: MemCycle = 12_000;
 /// Both controllers reset their statistics here, mid-traffic.
 const RESET_AT: MemCycle = 5_000;
 /// Traffic alternates bursts that overrun the queues with quiet spans
-/// in which only issued columns can admit the backlog.
+/// in which only issued columns can admit the backlog; every second
+/// burst is write-heavy.
 const PHASE: MemCycle = 1_500;
 
 struct XorShift(u64);
@@ -44,8 +47,18 @@ fn block(rng: &mut XorShift) -> BlockAddr {
     BlockAddr::from_index(rng.below(96) * 32 + rng.below(32))
 }
 
-fn transaction(rng: &mut XorShift) -> Transaction {
+/// A transaction of the usual mix, or of a write-heavy burst, which
+/// submits on every cycle: seven writes in eight overrun the write
+/// queue while the reads wait out the write drain, so both queues fill
+/// and an event drain refuses both directions with backlog left.
+fn transaction(rng: &mut XorShift, write_heavy: bool) -> Transaction {
     let b = block(rng);
+    if write_heavy {
+        return match rng.below(8) {
+            0 => Transaction::read(b, TrafficClass::Demand, 0),
+            _ => Transaction::write(b, TrafficClass::EagerWriteback, 0),
+        };
+    }
     match rng.below(8) {
         0 => Transaction::write(b, TrafficClass::DemandWriteback, 0),
         1 | 2 => Transaction::write(b, TrafficClass::EagerWriteback, 0),
@@ -68,9 +81,10 @@ fn run_pair(cfg: DramConfig, seed: u64) {
             oracle.reset_stats();
             event.reset_stats();
         }
-        if (now / PHASE).is_multiple_of(2) && rng.below(2) == 0 {
+        let write_heavy = now / PHASE % 4 == 2;
+        if (now / PHASE).is_multiple_of(2) && (write_heavy || rng.below(2) == 0) {
             for _ in 0..=rng.below(2) {
-                let txn = transaction(&mut rng);
+                let txn = transaction(&mut rng, write_heavy);
                 oracle.submit(txn);
                 event.submit(txn);
             }
@@ -115,6 +129,15 @@ fn run_pair(cfg: DramConfig, seed: u64) {
     assert!(completed > 1_000, "{name}: only {completed} completions");
     assert!(waited > 1_000, "{name}: a backlog on only {waited} cycles");
     assert!(skipped > 500, "{name}: only {skipped} skipped drains");
+    // Many event drains stopped early: reads and writes were both
+    // refused, and the rest of the backlog went unvisited. The oracle
+    // drain visits every transaction.
+    let cutoffs = event.work().drain_cutoffs;
+    assert!(
+        cutoffs > 1_000,
+        "{name}: only {cutoffs} drains stopped early"
+    );
+    assert_eq!(oracle.work().drain_cutoffs, 0, "{name}: oracle cutoffs");
 }
 
 #[test]

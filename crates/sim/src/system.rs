@@ -190,7 +190,7 @@ struct StormBatch {
     /// How many *live* members map to each LLC bank (for the bulk
     /// occupancy replay of a wholesale-refused round).
     bank_counts: Vec<u32>,
-    /// Live-member count per block, for [`System::note_block_event`].
+    /// Live-member count per block, for [`StormState::touch`].
     blocks: bump_types::FxHashMap<BlockAddr, u32>,
     /// Live member blocks that gained an MSHR, or may have become
     /// resident, since the last round (repeats allowed). Every other
@@ -214,11 +214,16 @@ impl StormBatch {
     /// (the request itself stays in the consumed prefix).
     fn unregister(&mut self, block: BlockAddr, bank: usize) {
         self.bank_counts[bank] -= 1;
-        let c = self.blocks.get_mut(&block).expect("member block indexed");
-        *c -= 1;
-        if *c == 0 {
-            self.blocks.remove(&block);
-        }
+        uncount(&mut self.blocks, block);
+    }
+}
+
+/// Takes one from `block`'s count, dropping the entry at zero.
+fn uncount(counts: &mut bump_types::FxHashMap<BlockAddr, u32>, block: BlockAddr) {
+    let c = counts.get_mut(&block).expect("member block indexed");
+    *c -= 1;
+    if *c == 0 {
+        counts.remove(&block);
     }
 }
 
@@ -253,9 +258,12 @@ struct StormState {
     batches: Vec<StormBatch>,
     free: Vec<usize>,
     open: Option<OpenBatch>,
-    /// Batches currently in use (fast-path guard for the dirtying
-    /// probe: zero for every preset but Full-region).
+    /// Batches currently in use.
     live: usize,
+    /// Live-member count per block over every batch in use: the sum of
+    /// the batches' `blocks`, so [`StormState::touch`] answers "no
+    /// batch holds it" with one lookup.
+    members: bump_types::FxHashMap<BlockAddr, u32>,
 }
 
 impl StormState {
@@ -278,7 +286,10 @@ impl StormState {
     /// Releases batch `id`, keeping its allocations for reuse.
     fn release(&mut self, id: usize) {
         let b = &mut self.batches[id];
-        debug_assert!(b.in_use);
+        debug_assert!(
+            b.in_use && b.blocks.is_empty(),
+            "released with live members"
+        );
         b.requests.clear();
         b.blocks.clear();
         b.touched.clear();
@@ -289,6 +300,48 @@ impl StormState {
         if self.open.as_ref().is_some_and(|o| o.id == id) {
             self.open = None;
         }
+    }
+
+    /// Adds `req`, whose block maps to LLC bank `bank`, to batch `id`.
+    fn register(&mut self, id: usize, req: MemoryRequest, bank: usize) {
+        self.batches[id].register(req, bank);
+        *self.members.entry(req.block).or_insert(0) += 1;
+        debug_assert!(self.members_match(req.block));
+    }
+
+    /// Drops one live member of batch `id` for `block` from the
+    /// indexes (see [`StormBatch::unregister`]).
+    fn unregister(&mut self, id: usize, block: BlockAddr, bank: usize) {
+        self.batches[id].unregister(block, bank);
+        uncount(&mut self.members, block);
+        debug_assert!(self.members_match(block));
+    }
+
+    /// Records `block` as touched in every batch holding it: its next
+    /// retry round can no longer assume the block is still MSHR-less
+    /// and non-resident, so it must look again.
+    fn touch(&mut self, block: BlockAddr) {
+        if !self.members.contains_key(&block) {
+            debug_assert!(self.members_match(block));
+            return;
+        }
+        for b in &mut self.batches {
+            if b.in_use && b.blocks.contains_key(&block) {
+                b.touched.push(block);
+            }
+        }
+    }
+
+    /// Whether the membership index's count for `block` is the sum of
+    /// the batches' live-member counts for it.
+    fn members_match(&self, block: BlockAddr) -> bool {
+        let live: u32 = self
+            .batches
+            .iter()
+            .filter(|b| b.in_use)
+            .filter_map(|b| b.blocks.get(&block))
+            .sum();
+        self.members.get(&block).copied().unwrap_or(0) == live
     }
 }
 
@@ -426,6 +479,12 @@ impl System {
     /// The density profiler.
     pub fn profiler(&self) -> &DensityProfiler {
         &self.profiler
+    }
+
+    /// The memory controller (for its exact work counts,
+    /// [`MemoryController::work`]).
+    pub fn memory(&self) -> &MemoryController {
+        &self.mc
     }
 
     /// Switches the engine phase profiler on for this system: the
@@ -600,17 +659,11 @@ impl System {
         }
     }
 
-    /// Records `block` as touched in every parked batch holding it: its
-    /// next retry round can no longer assume the block is still
-    /// MSHR-less and non-resident, so it must look again.
+    /// Records `block` as touched in every parked batch holding it (see
+    /// [`StormState::touch`]).
     fn note_block_event(&mut self, block: BlockAddr) {
-        if self.storm.live == 0 {
-            return;
-        }
-        for b in &mut self.storm.batches {
-            if b.in_use && b.blocks.contains_key(&block) {
-                b.touched.push(block);
-            }
+        if self.storm.live > 0 {
+            self.storm.touch(block);
         }
     }
 
@@ -624,12 +677,12 @@ impl System {
         let bank = self.llc.bank_of(req.block);
         if let Some(open) = &self.storm.open {
             if open.at == target && self.events.slot_len(target) == open.slot_len {
-                self.storm.batches[open.id].register(req, bank);
+                self.storm.register(open.id, req, bank);
                 return;
             }
         }
         let id = self.storm.alloc(self.llc.bank_count());
-        self.storm.batches[id].register(req, bank);
+        self.storm.register(id, req, bank);
         self.schedule(target, Pending::StormRetry(id));
         self.storm.open = Some(OpenBatch {
             id,
@@ -660,7 +713,8 @@ impl System {
             let b = &mut self.storm.batches[id];
             let req = b.requests[b.start];
             b.start += 1;
-            b.unregister(req.block, self.llc.bank_of(req.block));
+            self.storm
+                .unregister(id, req.block, self.llc.bank_of(req.block));
             self.handle_llc_request(req);
         }
         let mut touched = std::mem::take(&mut self.storm.batches[id].touched);
@@ -679,7 +733,7 @@ impl System {
                 let req = requests[j];
                 if touched.binary_search(&req.block).is_ok() {
                     let bank = self.llc.bank_of(req.block);
-                    self.storm.batches[id].unregister(req.block, bank);
+                    self.storm.unregister(id, req.block, bank);
                     self.handle_llc_request(req);
                 } else {
                     requests[kept] = req;
@@ -1272,5 +1326,84 @@ impl System {
             phase: self.phase.profile(),
             telemetry: self.telemetry.as_ref().map(|t| t.series()),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bump_types::Pc;
+
+    /// Parks, rounds and touches in a seeded mix keep the membership
+    /// index equal to the sum of the live per-batch counts, and a touch
+    /// reaches exactly the batches that hold the block.
+    #[test]
+    fn storm_membership_index_tracks_park_round_and_touch() {
+        const BANKS: usize = 4;
+        let mut storm = StormState::default();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let bank_of = |b: BlockAddr| (b.index() % BANKS as u64) as usize;
+        let (mut live, mut released): (Vec<usize>, u32) = (Vec::new(), 0);
+        for step in 0..4_000 {
+            match next(8) {
+                // Park: join a live batch or open a new one.
+                0..=3 => {
+                    let id = if live.is_empty() || next(4) == 0 {
+                        let id = storm.alloc(BANKS);
+                        live.push(id);
+                        id
+                    } else {
+                        live[next(live.len() as u64) as usize]
+                    };
+                    let block = BlockAddr::from_index(next(24));
+                    let req = MemoryRequest::speculative(
+                        block,
+                        Pc::new(0),
+                        TrafficClass::FullRegionRead,
+                        0,
+                    );
+                    storm.register(id, req, bank_of(block));
+                }
+                // Round: resolve a batch's oldest live member, and
+                // release the batch once none is left.
+                4..=5 if !live.is_empty() => {
+                    let k = next(live.len() as u64) as usize;
+                    let id = live[k];
+                    let b = &mut storm.batches[id];
+                    let req = b.requests[b.start];
+                    b.start += 1;
+                    storm.unregister(id, req.block, bank_of(req.block));
+                    if storm.batches[id].live() == 0 {
+                        storm.release(id);
+                        live.swap_remove(k);
+                        released += 1;
+                    }
+                }
+                // Touch.
+                _ => {
+                    let block = BlockAddr::from_index(next(24));
+                    let before: Vec<usize> =
+                        storm.batches.iter().map(|b| b.touched.len()).collect();
+                    storm.touch(block);
+                    for (id, b) in storm.batches.iter().enumerate() {
+                        let holds = b.in_use && b.blocks.contains_key(&block);
+                        let added = b.touched.len() - before[id];
+                        assert_eq!(added, usize::from(holds), "touch of batch {id} at {step}");
+                    }
+                }
+            }
+            for i in 0..24 {
+                let block = BlockAddr::from_index(i);
+                assert!(storm.members_match(block), "{block:?} at step {step}");
+            }
+            assert_eq!(storm.live, live.len(), "live batches at step {step}");
+        }
+        assert!(released > 10, "only {released} batches released");
     }
 }

@@ -7,7 +7,7 @@
 
 use bump_sim::{
     config_for, config_for_scenario, run_experiment, run_experiment_with_config, Engine,
-    Instruments, Phase, Preset, RunOptions, Scenario, SimReport,
+    Instruments, Phase, Preset, RunOptions, Scenario, SimReport, System,
 };
 use bump_workloads::Workload;
 
@@ -211,13 +211,29 @@ fn event_engine_work_counts_are_pinned() {
         profile: true,
         ..Instruments::default()
     };
-    let report = run_experiment_with_config(cfg, o);
+    // `run_experiment_with_config`, keeping the system to read the
+    // memory controller's work counts (warmup and measurement both).
+    let mut sys = System::new(cfg);
+    sys.run(o.warmup_instructions, o.max_cycles);
+    sys.reset_stats();
+    sys.run(o.measure_instructions, o.max_cycles);
+    let dram = sys.memory().work();
+    let report = sys.report();
     let phase = report.phase.expect("profiling was requested");
     let calls = |p: Phase| phase.sample(p).calls;
     assert_eq!(report.cycles, 325_847, "measured cycles");
     assert_eq!(calls(Phase::CoreTick), 13_535, "full steps");
     assert_eq!(calls(Phase::StormReplay), 51_327, "storm rounds");
     assert_eq!(calls(Phase::FastForward), 13_534, "fast-forward calls");
+    // Under debug assertions (every `cargo test` build) this cell also
+    // checks, at each park, round and touch of a storm batch, that the
+    // storm state's block -> live-member index equals the sum of the
+    // batches' own live counts.
+    //
+    // The DRAM channels' work over warmup and measurement: full channel
+    // ticks and one-pass bank scans.
+    assert_eq!(dram.full_ticks, 192_775, "full DRAM channel ticks");
+    assert_eq!(dram.scans, 190_543, "DRAM bank scans");
 }
 
 #[test]
